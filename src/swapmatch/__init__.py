@@ -37,7 +37,7 @@ from .gsm import (
     gsm_step,
     zero_state,
 )
-from .model import PGraph, TGraph, bma_at, bma_search, build_pgraph, build_tgraph
+from .model import PGraph, bma_at, bma_search, build_pgraph
 from .oracle import enumerate_swapped_versions, oracle_match_at, oracle_search
 from .report import MatchReport
 from .smalgo import (
@@ -61,11 +61,9 @@ __all__ = [
     "count_ops",
     "MatchReport",
     "PGraph",
-    "TGraph",
     "bma_at",
     "bma_search",
     "build_pgraph",
-    "build_tgraph",
     "enumerate_swapped_versions",
     "oracle_match_at",
     "oracle_search",

@@ -17,11 +17,11 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
+from .bitvec import WORD_BITS
 from .dfa import (
     DEFAULT_STATE_CAP,
     build_swap_nfa,
@@ -40,8 +40,6 @@ from .smalgo import (
     smalgo1_trace,
     smalgo_precompute,
 )
-
-WORD_BITS = 64
 
 # desk-scale guards for verify
 MAX_EXHAUSTIVE_PAIRS = 5_000_000
@@ -252,8 +250,27 @@ def _space_size(sigma: int, lo: int, hi: int) -> int:
     return sum(sigma ** n for n in range(lo, hi + 1))
 
 
-def _verify_one(algo: str, patterns: list[str], texts: list[str]):
-    return find_discrepancies(patterns, texts, algo)
+def _verify_batches(args) -> Iterator[tuple[Iterable[str], Iterable[str]]]:
+    """The (patterns, texts) spaces verify scans, generated lazily.
+
+    Exhaustive mode is one batch: every pattern against every text.
+    Random mode pairs one pattern with one text per trial; the trials are
+    drawn from ``Random(seed)`` as they are scanned, so memory does not
+    grow with ``--trials``.
+    """
+    sigma = args.sigma
+    if args.mode == "exhaustive":
+        yield (
+            exhaustive_strings(sigma, args.p_min, args.p_max),
+            exhaustive_strings(sigma, args.t_min, args.t_max),
+        )
+        return
+    rng = Random(args.seed)
+    for _ in range(args.trials):
+        t_len = rng.randint(args.t_min, args.t_max)
+        p_len = rng.randint(args.p_min, min(args.p_max, t_len))
+        pattern = "".join(rng.choice(sigma) for _ in range(p_len))
+        yield [pattern], ["".join(rng.choice(sigma) for _ in range(t_len))]
 
 
 def cmd_verify(args) -> int:
@@ -273,8 +290,6 @@ def cmd_verify(args) -> int:
                 raise ValueError(
                     f"{n_pat * n_txt} pairs exceed the cap {MAX_EXHAUSTIVE_PAIRS}"
                 )
-            patterns = list(exhaustive_strings(sigma, args.p_min, args.p_max))
-            texts = list(exhaustive_strings(sigma, args.t_min, args.t_max))
         else:
             if args.trials > MAX_TRIALS:
                 raise ValueError(f"trials cap is {MAX_TRIALS}")
@@ -284,14 +299,6 @@ def cmd_verify(args) -> int:
                 )
             if args.t_min < args.p_min:
                 raise ValueError("random mode needs t-min >= p-min")
-            rng = Random(args.seed)
-            patterns = []
-            texts = []
-            for _ in range(args.trials):
-                t_len = rng.randint(args.t_min, args.t_max)
-                p_len = rng.randint(args.p_min, min(args.p_max, t_len))
-                patterns.append("".join(rng.choice(sigma) for _ in range(p_len)))
-                texts.append("".join(rng.choice(sigma) for _ in range(t_len)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -299,34 +306,12 @@ def cmd_verify(args) -> int:
     failed = False
     all_found = []
     for algo in algos:
-        if args.mode == "exhaustive":
-            if args.workers > 1:
-                # contiguous chunks keep the merged order identical to a
-                # sequential scan
-                size = -(-len(patterns) // args.workers)
-                chunks = [
-                    patterns[i : i + size] for i in range(0, len(patterns), size)
-                ]
-                with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                    results = list(
-                        pool.map(lambda ch: _verify_one(algo, ch, texts), chunks)
-                    )
-                found = [d for res in results for d in res.discrepancies]
-                scanned = sum(res.pairs_scanned for res in results)
-            else:
-                res = find_discrepancies(patterns, texts, algo)
-                found = list(res.discrepancies)
-                scanned = res.pairs_scanned
-        else:
-            # random mode pairs patterns[i] with texts[i] only
-            found = []
-            scanned = 0
-            search = SEARCHERS[algo]
-            for pat, txt in zip(patterns, texts):
-                scanned += 1
-                if search(pat, txt).positions != oracle_search(pat, txt).positions:
-                    res = find_discrepancies([pat], [txt], algo)
-                    found.extend(res.discrepancies)
+        found = []
+        scanned = 0
+        for patterns, texts in _verify_batches(args):
+            res = find_discrepancies(patterns, texts, algo)
+            found.extend(res.discrepancies)
+            scanned += res.pairs_scanned
         all_found.extend(found)
         print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
         for d in found:
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--t-max", type=int, default=6)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--fixture-out", help="write discrepancies to this file")
     p_verify.set_defaults(fn=cmd_verify)
 

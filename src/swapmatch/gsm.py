@@ -15,6 +15,7 @@ tested against each other and against the brute-force oracle.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -110,51 +111,38 @@ def gsm_accepts(state: GsmState, p: int | None = None) -> bool:
 
 # -- fast engine on raw ints --------------------------------------------------
 
-def _mask_triples(masks: GsmMasks, for_bytes: bool):
-    """Precompute (filter, filter<<1, filter>>1) per symbol for the scan loop."""
-    p = masks.p
-    full = (1 << p) - 1
-    items = {
-        x: (v.value, (v.value << 1) & full, v.value >> 1)
-        for x, v in masks.d.items()
-    }
-    if for_bytes:
-        table: list[tuple[int, int, int]] = [(0, 0, 0)] * 256
-        for x, triple in items.items():
-            table[x] = triple
-        return table
-    return items
-
-
 _ZERO3 = (0, 0, 0)
 
 
-def _scan_chunk(table, is_bytes, p, chunk, j, ru, rm, rd, out):
+def _mask_triples(masks: GsmMasks, for_bytes: bool):
+    """Precompute (filter, filter<<1, filter>>1) per symbol for the scan loop.
+
+    The table maps every symbol, including those outside the alphabet
+    (which get all-zero filters): a list indexed by byte value for bytes,
+    a defaultdict for str.
+    """
+    p = masks.p
+    full = (1 << p) - 1
+    table = [_ZERO3] * 256 if for_bytes else defaultdict(lambda: _ZERO3)
+    for x, v in masks.d.items():
+        table[x] = (v.value, (v.value << 1) & full, v.value >> 1)
+    return table
+
+
+def _scan_chunk(table, j, p, chunk, ru, rm, rd, out):
     """Feed one chunk through the recurrence; returns the carried state."""
     accept = 1 << (p - 1)
     start_off = 1 - p
     append = out.append
-    if is_bytes:
-        for c in chunk:
-            d, dl, dr = table[c]
-            prop = ((rm | ru) << 1) | 1
-            ru = ((rd << 1) | 1) & dl
-            rm = prop & d
-            rd = prop & dr
-            j += 1
-            if (ru | rm) & accept:
-                append(j + start_off)
-    else:
-        get = table.get
-        for c in chunk:
-            d, dl, dr = get(c, _ZERO3)
-            prop = ((rm | ru) << 1) | 1
-            ru = ((rd << 1) | 1) & dl
-            rm = prop & d
-            rd = prop & dr
-            j += 1
-            if (ru | rm) & accept:
-                append(j + start_off)
+    for c in chunk:
+        d, dl, dr = table[c]
+        prop = ((rm | ru) << 1) | 1
+        ru = ((rd << 1) | 1) & dl
+        rm = prop & d
+        rd = prop & dr
+        j += 1
+        if (ru | rm) & accept:
+            append(j + start_off)
     return j, ru, rm, rd
 
 
@@ -169,7 +157,7 @@ def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     masks = gsm_precompute(pattern)
     table = _mask_triples(masks, is_bytes)
     out: list[int] = []
-    _scan_chunk(table, is_bytes, p, text, 0, 0, 0, 0, out)
+    _scan_chunk(table, 0, p, text, 0, 0, 0, out)
     return MatchReport("gsm", tuple(out), p, len(text))
 
 
@@ -192,5 +180,5 @@ def gsm_search_stream(
         if is_bytes != isinstance(chunk, bytes):
             raise TypeError("chunks must match the pattern type")
         out: list[int] = []
-        j, ru, rm, rd = _scan_chunk(table, is_bytes, p, chunk, j, ru, rm, rd, out)
+        j, ru, rm, rd = _scan_chunk(table, j, p, chunk, ru, rm, rd, out)
         yield from out

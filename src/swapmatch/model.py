@@ -127,45 +127,11 @@ class PGraph:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TGraph:
-    """A text as a labeled path graph: vertex i carries the i-th symbol."""
-
-    text: str | bytes
-
-    @property
-    def t(self) -> int:
-        return len(self.text)
-
-    @property
-    def vertex_count(self) -> int:
-        return self.t
-
-    @property
-    def edge_count(self) -> int:
-        return self.t - 1
-
-    def label(self, i: int):
-        if not 1 <= i <= self.t:
-            raise KeyError(f"no vertex {i}")
-        return self.text[i - 1]
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return ((i, i + 1) for i in range(1, self.t))
-
-
 def build_pgraph(pattern: str | bytes) -> PGraph:
     """Swap graph of the pattern; rejects empty patterns."""
     if len(pattern) == 0:
         raise ValueError("pattern must be non-empty")
     return PGraph(pattern)
-
-
-def build_tgraph(text: str | bytes) -> TGraph:
-    """Path graph of the text; rejects empty texts."""
-    if len(text) == 0:
-        raise ValueError("text must be non-empty")
-    return TGraph(text)
 
 
 def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:

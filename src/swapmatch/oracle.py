@@ -14,7 +14,7 @@ they can serve as the oracle those matchers are validated against.
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from typing import TypeVar
 
 from .report import MatchReport
 
@@ -23,11 +23,6 @@ S = TypeVar("S", str, bytes)
 # enumerate_swapped_versions() grows like Fibonacci(p+1); refuse patterns
 # where the set itself becomes unreasonable and point callers at the scan.
 ENUMERATION_LIMIT = 26
-
-
-def _as_items(s: str | bytes) -> Sequence:
-    # bytes iterate as ints already; str iterates as 1-char strings
-    return s
 
 
 def _join(template: str | bytes, items: list) -> str | bytes:
@@ -52,19 +47,18 @@ def enumerate_swapped_versions(pattern: S) -> frozenset[S]:
             f"refusing to enumerate swapped versions for p={p} >= "
             f"{ENUMERATION_LIMIT}; use oracle_match_at / oracle_search"
         )
-    items = _as_items(pattern)
     out: set[S] = set()
 
     def extend(i: int, acc: list) -> None:
         if i == p:
             out.add(_join(pattern, acc))  # type: ignore[arg-type]
             return
-        acc.append(items[i])
+        acc.append(pattern[i])
         extend(i + 1, acc)
         acc.pop()
-        if i + 1 < p and items[i] != items[i + 1]:
-            acc.append(items[i + 1])
-            acc.append(items[i])
+        if i + 1 < p and pattern[i] != pattern[i + 1]:
+            acc.append(pattern[i + 1])
+            acc.append(pattern[i])
             extend(i + 2, acc)
             acc.pop()
             acc.pop()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,3 @@ class MatchReport:
 
     def __bool__(self) -> bool:
         return bool(self.positions)
-
-
-def make_report(
-    algorithm: str, positions: Iterable[int], pattern: object, text: object
-) -> MatchReport:
-    """Build a MatchReport from raw positions and sized pattern/text."""
-    return MatchReport(algorithm, tuple(positions), len(pattern), len(text))  # type: ignore[arg-type]

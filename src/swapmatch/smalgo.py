@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .bitvec import BitVector
 from .gsm import gsm_search
 from .model import build_pgraph, bma_search
-from .oracle import oracle_search
+from .oracle import oracle_match_at, oracle_search
 from .report import MatchReport
 
 Pair = tuple[object, object]
@@ -135,7 +135,10 @@ class Smalgo1Step:
 
 
 def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
-    """Shared SMALGO-I engine; optionally records full-iteration traces."""
+    """Shared SMALGO-I engine: R^1 as an int and the report.
+
+    Optionally records every full iteration's vectors in ``steps``.
+    """
     p, t = len(pattern), len(text)
     masks = smalgo_precompute(pattern)
     dt = {x: v.value for x, v in masks.dtilde.items()}
@@ -144,7 +147,7 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
     check = 1 << (p - 2)
     positions: list[int] = []
 
-    r = 1 & dt.get(text[0], 0) if t else 0
+    r = r1 = 1 & dt.get(text[0], 0) if t else 0
 
     def report(j: int, vec: int) -> None:
         # A set check bit at R^j claims p-1 matched symbols ending at j
@@ -180,7 +183,7 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
             # rshift and pmask terms drop (an all-ones sentinel).
             r = ((r << 1) | 1) & dt.get(cur, 0)
         report(j0 + 1, r)
-    return MatchReport("smalgo1", tuple(positions), p, t)
+    return r1, MatchReport("smalgo1", tuple(positions), p, t)
 
 
 def smalgo1_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
@@ -191,7 +194,7 @@ def smalgo1_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
         return _single_symbol_search("smalgo1", pattern, text)
     if len(text) < len(pattern):
         return MatchReport("smalgo1", (), len(pattern), len(text))
-    return _smalgo1(pattern, text)
+    return _smalgo1(pattern, text)[1]
 
 
 def smalgo1_trace(pattern: str | bytes, text: str | bytes):
@@ -199,11 +202,8 @@ def smalgo1_trace(pattern: str | bytes, text: str | bytes):
     if len(pattern) < 2:
         raise ValueError("trace needs a pattern of length >= 2")
     steps: list[Smalgo1Step] = []
-    masks = smalgo_precompute(pattern)
-    p = len(pattern)
-    r1 = BitVector(p, 1 & masks.dtilde_for(text[0]).value) if text else BitVector(p)
-    report = _smalgo1(pattern, text, steps)
-    return r1, steps, report
+    r1, report = _smalgo1(pattern, text, steps)
+    return BitVector(len(pattern), r1), steps, report
 
 
 def _reversed_int(vec: BitVector) -> int:
@@ -282,7 +282,9 @@ class Discrepancy:
         if self.kind not in ("false-positive", "false-negative"):
             raise ValueError(f"unknown kind {self.kind!r}")
         reported = self.position in SEARCHERS[self.algorithm](self.pattern, self.text).positions
-        truth = self.position in oracle_search(self.pattern, self.text).positions
+        # raises ValueError for a position outside the text, which no
+        # genuine record can hold
+        truth = oracle_match_at(self.pattern, self.text, self.position)
         expected = self.kind == "false-positive"
         if (reported, truth) != (expected, not expected):
             raise ValueError(
@@ -295,20 +297,17 @@ class Discrepancy:
 class ScanResult:
     discrepancies: tuple[Discrepancy, ...]
     pairs_scanned: int
-    partial: bool  # budget ran out before the spaces were exhausted
 
 
 def find_discrepancies(
     patterns: Iterable[str | bytes],
     texts: Sequence[str | bytes] | Iterable[str | bytes],
     algorithm: str,
-    budget: int | None = None,
 ) -> ScanResult:
     """Scan pattern x text for positions where ``algorithm`` contradicts the oracle.
 
-    ``texts`` is materialized once and replayed per pattern. Scanning stops
-    after ``budget`` pairs, flagging the result as partial. Output order is
-    deterministic: input order, then ascending positions.
+    ``texts`` is materialized once and replayed per pattern. Output order
+    is deterministic: input order, then ascending positions.
     """
     if algorithm not in SEARCHERS or algorithm == "oracle":
         raise ValueError(f"cannot scan algorithm {algorithm!r}")
@@ -318,8 +317,6 @@ def find_discrepancies(
     scanned = 0
     for pattern in patterns:
         for text in text_list:
-            if budget is not None and scanned >= budget:
-                return ScanResult(tuple(found), scanned, True)
             scanned += 1
             got = search(pattern, text).positions
             want = oracle_search(pattern, text).positions
@@ -337,7 +334,7 @@ def find_discrepancies(
                     found.append(
                         Discrepancy(algorithm, pattern, text, k, "false-negative")
                     )
-    return ScanResult(tuple(found), scanned, False)
+    return ScanResult(tuple(found), scanned)
 
 
 def exhaustive_strings(alphabet: str, min_len: int, max_len: int) -> Iterator[str]:

@@ -188,28 +188,15 @@ def test_verify_smalgo1_lists_flaw_instance(tmp_path):
     assert "smalgo1\tabab\taaba\t1\tfalse-positive\n" in fixture.read_text()
 
 
-def test_verify_workers_preserve_output():
-    args = [
-        "verify",
-        "--algos",
-        "smalgo1",
-        "--sigma",
-        "ab",
-        "--p-max",
-        "3",
-        "--t-max",
-        "4",
-    ]
-    assert invoke(args) == invoke(args + ["--workers", "3"])
-
-
 def test_verify_random_mode_deterministic():
+    # the golden pins the seeded trial stream: its draw order and the
+    # discrepancies found in it
     args = [
         "verify",
         "--mode",
         "random",
         "--algos",
-        "gsm,smalgo2",
+        "gsm,smalgo1,smalgo2",
         "--sigma",
         "ab",
         "--p-max",
@@ -221,11 +208,9 @@ def test_verify_random_mode_deterministic():
         "--seed",
         "42",
     ]
-    first = invoke(args)
-    second = invoke(args)
-    assert first == second
-    assert first[0] == 0
-    assert "algo=gsm pairs=300 discrepancies=0" in first[1]
+    code, out, _ = invoke(args)
+    assert code == 0
+    assert out == (DATA / "verify_random_ab_p6_t12_seed42.txt").read_text()
 
 
 def test_verify_cap_violation_exit_two():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from swapmatch.model import build_pgraph, build_tgraph, bma_at, bma_search
+from swapmatch.model import build_pgraph, bma_at, bma_search
 from swapmatch.oracle import enumerate_swapped_versions, oracle_search
 
 
@@ -70,19 +70,6 @@ def test_pgraph_dot_dump():
     assert '"m_0_1" -> "m_0_2";' in dot
     assert '"m_1_1" -> "m_-1_2";' in dot
     assert dot.startswith("digraph")
-
-
-def test_tgraph_examples():
-    g = build_tgraph("ab")
-    assert g.vertex_count == 2
-    assert g.edge_count == 1
-    g7 = build_tgraph("babcabc")
-    assert g7.vertex_count == 7
-    assert [g7.label(i) for i in range(1, 8)] == list("babcabc")
-    for text in ("a", "abc", "abcbbac"):
-        assert build_tgraph(text).edge_count == len(text) - 1
-    with pytest.raises(ValueError):
-        build_tgraph("")
 
 
 def test_bma_at_figure_example():

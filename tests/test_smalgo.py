@@ -164,7 +164,6 @@ def test_find_discrepancies_includes_flaw_instance():
     pats = list(exhaustive_strings("ab", 4, 4))
     txts = list(exhaustive_strings("ab", 4, 4))
     res = find_discrepancies(pats, txts, "smalgo1")
-    assert not res.partial
     assert res.pairs_scanned == 256
     keys = {(d.pattern, d.text, d.position, d.kind) for d in res.discrepancies}
     assert ("abab", "aaba", 1, "false-positive") in keys
@@ -179,14 +178,6 @@ def test_find_discrepancies_unary_alphabet():
     assert {(d.position, d.kind) for d in res2.discrepancies} == {
         (2, "false-negative")
     }
-
-
-def test_find_discrepancies_budget_partial():
-    pats = list(exhaustive_strings("ab", 2, 3))
-    txts = list(exhaustive_strings("ab", 2, 3))
-    res = find_discrepancies(pats, txts, "smalgo1", budget=5)
-    assert res.partial
-    assert res.pairs_scanned == 5
 
 
 def test_find_discrepancies_gsm_clean():
@@ -231,6 +222,10 @@ def test_discrepancy_reverifies_on_construction():
         Discrepancy("gsm", "abab", "aaba", 1, "false-positive")
     with pytest.raises(ValueError):
         Discrepancy("smalgo1", "abab", "aaba", 1, "nonsense")
+    for position in (0, 2):  # outside 1..t-p+1
+        for kind in ("false-positive", "false-negative"):
+            with pytest.raises(ValueError):
+                Discrepancy("smalgo1", "abab", "aaba", position, kind)
 
 
 def test_fixture_round_trip():

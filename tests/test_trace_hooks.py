@@ -1,0 +1,76 @@
+"""The benchmark's span recorder still finds the layer boundaries it wraps.
+
+``perfbench/spans.py`` replaces module attributes by name from outside the
+package, so renaming or re-plumbing one of them silently empties a
+per-layer metric. Each command runs in a fresh process, as the benchmark
+runs it, with the recorder installed.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import swapmatch.cli as cli
+from spans import Recorder, install, layer_values
+
+recorder = Recorder()
+install(recorder)
+run = recorder.wrap("cli.main", cli.main)
+out = io.StringIO()
+sys.stdout = out
+try:
+    code = run(sys.argv[4:])
+finally:
+    sys.stdout = sys.__stdout__
+recorder.spans[0][4] = {"output_bytes": len(out.getvalue())}
+recorder.dump(sys.argv[3])
+with open(sys.argv[3], encoding="utf-8") as fh:
+    dump = json.load(fh)
+print(json.dumps({"code": code, "spans": dump["spans"], "values": layer_values(dump)}))
+"""
+
+
+def traced(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tmp_path / "spans.json"), *argv],
+        capture_output=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_search_records_scan_spans(tmp_path):
+    text = tmp_path / "text.txt"
+    text.write_bytes(b"acgt" * 5_000)
+    run = traced(tmp_path, ["search", "--file", str(text), "--pattern", "acgtacgt"])
+    assert run["code"] == 0
+    scans = [s[5] for s in run["spans"] if s[0] == "gsm.scan"]
+    assert scans == [{"p": 8, "symbols": 20_000}]
+    values = run["values"]
+    assert values["gsm.calls"] == 1
+    assert values["gsm.matches"] == 20_000 // 4 - 1
+    assert values["cli.text_symbols"] == 20_000
+    assert values["scan_symbols.p8"] == 20_000
+
+
+def test_verify_random_records_oracle_and_reverify_spans(tmp_path):
+    run = traced(
+        tmp_path,
+        ["verify", "--mode", "random", "--algos", "gsm,smalgo1", "--sigma", "ab",
+         "--p-max", "6", "--t-max", "12", "--trials", "50", "--seed", "42"],
+    )
+    assert run["code"] == 0
+    values = run["values"]
+    assert values["gsm.calls"] == 50
+    assert values["oracle.calls"] == 100  # one per trial and algo
+    assert values["smalgo.discrepancies"] > 0
+    # each discrepancy runs its algorithm once more to re-verify itself
+    assert values["smalgo.reverify_searches"] == values["smalgo.discrepancies"]
