@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 import time
@@ -205,11 +206,30 @@ def _read_text_input(args) -> bytes:
     else:
         data = sys.stdin.buffer.read()
     if args.fasta:
-        lines = [ln for ln in data.splitlines() if not ln.startswith(b">")]
-        data = b"".join(lines)
-    elif args.strip_newlines:
-        data = data.replace(b"\r", b"").replace(b"\n", b"")
+        data = _strip_fasta_headers(data)
+    if args.fasta or args.strip_newlines:
+        data = data.translate(None, b"\r\n")
     return data
+
+
+# a ">" and the rest of its line; a header only when the ">" starts the line
+_HEADER = re.compile(rb">[^\r\n]*")
+
+
+def _strip_fasta_headers(data: bytes) -> bytes:
+    """Cut out every line that starts with ">"; line ends (LF, CR) stay.
+
+    A ">" inside a line is kept, and so is the rest of that line.
+    """
+    parts = []
+    keep = 0
+    for m in _HEADER.finditer(data):
+        k = m.start()
+        if k == 0 or data[k - 1] in b"\r\n":
+            parts.append(data[keep:k])
+            keep = m.end()
+    parts.append(data[keep:])
+    return b"".join(parts)
 
 
 def _print_report(report: MatchReport, fmt: str) -> None:
@@ -281,6 +301,12 @@ def cmd_verify(args) -> int:
         return 2
     sigma = args.sigma
     try:
+        if args.p_min < 1:
+            raise ValueError("p-min must be >= 1")
+        if args.p_min > args.p_max:
+            raise ValueError("p-min must be <= p-max")
+        if args.t_min < 0:
+            raise ValueError("t-min must be >= 0")
         if args.mode == "exhaustive":
             n_pat = _space_size(len(sigma), args.p_min, args.p_max)
             n_txt = _space_size(len(sigma), args.t_min, args.t_max)
@@ -299,6 +325,8 @@ def cmd_verify(args) -> int:
                 )
             if args.t_min < args.p_min:
                 raise ValueError("random mode needs t-min >= p-min")
+            if args.t_min > args.t_max:
+                raise ValueError("t-min must be <= t-max")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

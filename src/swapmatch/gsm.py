@@ -3,20 +3,24 @@
 The matcher keeps one prefix-match bit vector per graph row: ``ru`` for
 signals that arrived by an upward swap (row -1), ``rm`` for unswapped
 positions (row 0) and ``rd`` for signals owing a swap to the next column
-(row +1). Each text symbol costs one propagate-then-filter round of 13
-bitwise vector operations, so the whole search is linear in the text for
-patterns up to the word size and degrades only by the word count beyond.
+(row +1). In the paper's form each text symbol costs one propagate-then-
+filter round of 13 bitwise vector operations, so the whole search is
+linear in the text for patterns up to the word size and degrades only by
+the word count beyond.
 
 ``gsm_step`` is the literal per-symbol round over :class:`BitVector`
-values; ``gsm_search``/``gsm_search_stream`` run the same recurrence on
-raw ints with precomputed row masks for speed. The two are equivalence-
-tested against each other and against the brute-force oracle.
+values, kept as the reference. ``gsm_search``/``gsm_search_stream`` run
+the same recurrence transposed, for speed: bit-parallel over blocks of
+text positions, one pattern column at a time, so Python pays per column
+and per block instead of per symbol, and a block stops as soon as every
+window in it has died. The two are equivalence-tested against each other
+and against the brute-force oracle.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping
 
 from .bitvec import BitVector
@@ -109,41 +113,147 @@ def gsm_accepts(state: GsmState, p: int | None = None) -> bool:
     return bool(state.ru.get_bit(p) or state.rm.get_bit(p))
 
 
-# -- fast engine on raw ints --------------------------------------------------
+# -- fast engine: the recurrence column by column over text blocks -------------
 
-_ZERO3 = (0, 0, 0)
+# text symbols per block; one block is one big int per live signal
+BLOCK = 1 << 15
+
+
+class _ZeroMap(dict):
+    """str.translate table: its own symbol to "1", every other to "0"."""
+
+    def __missing__(self, key):
+        self[key] = "0"
+        return "0"
+
+
+class _Occurrences(dict):
+    """Occurrence ints of one block, built on first use: for symbol index k,
+    bit n-1-j is set when block position j holds that symbol."""
+
+    def __init__(self, block, tables):
+        super().__init__()
+        self.block = block
+        self.tables = tables
+
+    def __missing__(self, k):
+        value = self[k] = int(self.block.translate(self.tables[k]), 2)
+        return value
 
 
 def _mask_triples(masks: GsmMasks, for_bytes: bool):
-    """Precompute (filter, filter<<1, filter>>1) per symbol for the scan loop.
+    """Per-column plan and per-symbol translate tables for the block scan.
 
-    The table maps every symbol, including those outside the alphabet
-    (which get all-zero filters): a list indexed by byte value for bytes,
-    a defaultdict for str.
+    Column i of the plan is ``(pat[i], pat[i-1], pat[i+1])`` as indices
+    into the tables (``None`` past either end): the transposed form of the
+    per-symbol filters ``(d, d<<1, d>>1)``. ``block.translate(tables[k])``
+    turns a block into a string of "0"/"1" with "1" where the block holds
+    symbol k.
     """
     p = masks.p
-    full = (1 << p) - 1
-    table = [_ZERO3] * 256 if for_bytes else defaultdict(lambda: _ZERO3)
-    for x, v in masks.d.items():
-        table[x] = (v.value, (v.value << 1) & full, v.value >> 1)
-    return table
+    symbols = [x for x, v in masks.d.items() if v.value]
+    index = {}
+    for k, x in enumerate(symbols):
+        for i in masks.d[x].positions():
+            index[i - 1] = k
+    plan = tuple(
+        (index[i], index[i - 1] if i else None, index[i + 1] if i + 1 < p else None)
+        for i in range(p)
+    )
+    if for_bytes:
+        tables = [
+            bytes(0x31 if b == x else 0x30 for b in range(256)) for x in symbols
+        ]
+    else:
+        tables = [_ZeroMap({ord(x): "1"}) for x in symbols]
+    return plan, tables
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _extend_positions(out: list, a: int, first: int) -> None:
+    """Append ``first + k`` for each set bit of ``a``, k counted down from its top bit.
+
+    Sparse bits are found one ``str.find`` call each; dense ones by one C
+    pass of ``compress`` over all bits, which is cheaper once at least one
+    bit in 64 is set: a ``find`` call costs about as much as 60 bits of
+    ``compress`` (CPython 3.11).
+    """
+    bits = format(a, "b")
+    if a.bit_count() * 64 < len(bits):
+        find = bits.find
+        k = find("1")
+        while k >= 0:
+            out.append(first + k)
+            k = find("1", k + 1)
+    else:
+        positions = range(first, first + len(bits))
+        out.extend(compress(positions, bits.encode().translate(_BIT_BYTES)))
 
 
 def _scan_chunk(table, j, p, chunk, ru, rm, rd, out):
-    """Feed one chunk through the recurrence; returns the carried state."""
-    accept = 1 << (p - 1)
-    start_off = 1 - p
-    append = out.append
-    for c in chunk:
-        d, dl, dr = table[c]
-        prop = ((rm | ru) << 1) | 1
-        ru = ((rd << 1) | 1) & dl
-        rm = prop & d
-        rd = prop & dr
-        j += 1
-        if (ru | rm) & accept:
-            append(j + start_off)
-    return j, ru, rm, rd
+    """Feed one chunk through the recurrence; returns the carried state.
+
+    The recurrence runs transposed: bit-parallel over the text positions
+    of a block of ``BLOCK`` symbols, one pattern column at a time. In a
+    block of n symbols, bit n-1-k of an int stands for block position k
+    (the first symbol is the top bit, so ``int(s, 2)`` reads a translated
+    block as it is). With ``O[x]`` the occurrence int of symbol x and
+    ``S`` the shift to the next position, which brings in column i-1 of
+    the state carried from the previous block, column i takes
+
+        A_i = S(A_{i-1}) & O[pat[i]] | S(B_{i-1}) & O[pat[i-1]]
+        B_i = S(A_{i-1}) & O[pat[i+1]]
+
+    where A is the ru|rm signal and B the rd signal (A_0 = O[pat[0]],
+    B_0 = O[pat[1]]); each set bit of A_{p-1} is a match ending at its
+    position. A column is a few big-int operations over n bits, so a
+    block costs about (columns still alive) x (n / word size) word
+    operations, plus one C pass over the block per occurrence int. A
+    block stops early once A_i and B_i are 0 and no carried bit at column
+    i or above is left; on random text that is after a handful of columns
+    whatever p is. ``gsm_step`` is the literal 13-op per-symbol reference
+    this is tested against.
+
+    The carried state holds ru|rm in ``rm`` (``ru`` comes back 0): only
+    that union and ``rd`` feed later symbols.
+    """
+    plan, tables = table
+    cur0, _, nxt0 = plan[0]
+    ca = ru | rm
+    cb = rd
+    for start in range(0, len(chunk), BLOCK):
+        block = chunk[start:start + BLOCK]
+        n = len(block)
+        top = 1 << (n - 1)
+        occ = _Occurrences(block, tables)
+        a = occ[cur0]
+        b = 0 if nxt0 is None else occ[nxt0]
+        na = a & 1
+        nb = b & 1
+        live = ca | cb
+        for i in range(1, p):
+            if not (a or b or live >> (i - 1)):
+                break  # a is 0: no match in this block
+            cur, prev, nxt = plan[i]
+            sa = a >> 1
+            sb = b >> 1
+            if (ca >> (i - 1)) & 1:
+                sa |= top
+            if (cb >> (i - 1)) & 1:
+                sb |= top
+            a = sa & occ[cur]
+            if sb:
+                a |= sb & occ[prev]
+            b = sa & occ[nxt] if sa and nxt is not None else 0
+            na |= (a & 1) << i
+            nb |= (b & 1) << i
+        if a:
+            _extend_positions(out, a, j + n - a.bit_length() + 2 - p)
+        j += n
+        ca, cb = na, nb
+    return j, 0, ca, cb
 
 
 def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
@@ -166,8 +276,12 @@ def gsm_search_stream(
 ) -> Iterator[int]:
     """Stream variant: match positions for the concatenation of the chunks.
 
-    State is constant-size in the text length; positions are yielded as
-    soon as the chunk containing their last symbol has been consumed.
+    Chunks are gathered until at least ``BLOCK`` symbols are pending; the
+    whole blocks among them are scanned and the rest waits for the next
+    chunk, so the cost per symbol does not depend on how the input was cut
+    and memory stays bounded by one block plus one chunk. Positions are
+    yielded once the block holding their last symbol has been scanned
+    (at the latest when the chunks run out).
     """
     p = len(pattern)
     if p == 0:
@@ -175,10 +289,24 @@ def gsm_search_stream(
     is_bytes = isinstance(pattern, bytes)
     masks = gsm_precompute(pattern)
     table = _mask_triples(masks, is_bytes)
+    join = b"".join if is_bytes else "".join
     j = ru = rm = rd = 0
+    pending: list = []
+    size = 0
     for chunk in chunks:
         if is_bytes != isinstance(chunk, bytes):
             raise TypeError("chunks must match the pattern type")
+        pending.append(chunk)
+        size += len(chunk)
+        if size < BLOCK:
+            continue
+        data = join(pending)
+        cut = size - size % BLOCK
         out: list[int] = []
-        j, ru, rm, rd = _scan_chunk(table, j, p, chunk, ru, rm, rd, out)
+        j, ru, rm, rd = _scan_chunk(table, j, p, data[:cut], ru, rm, rd, out)
+        pending = [data[cut:]]
+        size -= cut
         yield from out
+    out = []
+    _scan_chunk(table, j, p, join(pending), ru, rm, rd, out)
+    yield from out

@@ -16,6 +16,7 @@ false positives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -268,6 +269,17 @@ SEARCHERS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _reported_positions(algorithm: str, pattern, text) -> frozenset:
+    """The positions an algorithm reports on one pair.
+
+    One entry is enough: :func:`find_discrepancies` emits all records of
+    a pair one after another, so each pair is searched once more, not
+    once per record.
+    """
+    return frozenset(SEARCHERS[algorithm](pattern, text).positions)
+
+
 @dataclass(frozen=True)
 class Discrepancy:
     """A position where an algorithm and the oracle disagree; re-verified on construction."""
@@ -281,7 +293,7 @@ class Discrepancy:
     def __post_init__(self) -> None:
         if self.kind not in ("false-positive", "false-negative"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        reported = self.position in SEARCHERS[self.algorithm](self.pattern, self.text).positions
+        reported = self.position in _reported_positions(self.algorithm, self.pattern, self.text)
         # raises ValueError for a position outside the text, which no
         # genuine record can hold
         truth = oracle_match_at(self.pattern, self.text, self.position)

@@ -1,11 +1,15 @@
 """CLI behavior: inputs, formats, exit codes, goldens, determinism."""
 
+import argparse
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from swapmatch.cli import main
+import pytest
+
+from swapmatch.cli import _read_text_input, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,6 +105,40 @@ def test_search_fasta_strips_headers():
     )
     assert code == 0
     assert out == "2\n"
+
+
+def _fasta_stripped(data: bytes) -> bytes:
+    args = argparse.Namespace(
+        text=data.decode("latin-1"), file=None, fasta=True, strip_newlines=False
+    )
+    return _read_text_input(args)
+
+
+def _fasta_reference(data: bytes) -> bytes:
+    # the line-by-line strip the CLI used before; kept as the reference
+    return b"".join(ln for ln in data.splitlines() if not ln.startswith(b">"))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b">h1\r\nACGT\r\nAC\r\n>h2\r\nGT\r\n",  # CRLF
+        b">h1\rACGT\rAC\r>h2\rGT",  # bare CR, no trailing newline
+        b"AC\nGT\n>last header",  # header on the last line
+        b">first\nAC>GT\nA>\n>\n>>x\nT",  # ">" inside lines, empty header
+        b"\n\r\n>a\r\r>b\n\rC\x0bG\x0c",  # empty lines, \x0b and \x0c are data
+        b"",
+    ],
+)
+def test_fasta_strip_equals_line_reference(data):
+    assert _fasta_stripped(data) == _fasta_reference(data)
+
+
+def test_fasta_strip_equals_line_reference_fuzzed():
+    rng = random.Random(7)
+    for _ in range(3000):
+        data = bytes(rng.choice(b"ab>\r\n\x0b\x0c") for _ in range(rng.randint(0, 40)))
+        assert _fasta_stripped(data) == _fasta_reference(data), data
 
 
 def test_search_strip_newlines():
@@ -219,6 +257,24 @@ def test_verify_cap_violation_exit_two():
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p-min", "0"],
+        ["--mode", "random", "--p-min", "0"],
+        ["--p-min", "5", "--p-max", "3"],
+        ["--mode", "random", "--p-min", "5", "--p-max", "3", "--t-min", "6"],
+        ["--mode", "random", "--t-min", "8", "--t-max", "6"],
+        ["--t-min", "-1"],
+    ],
+)
+def test_verify_bad_lengths_exit_two(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_flaw_demo_matches_golden():
