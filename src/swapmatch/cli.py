@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import sys
@@ -49,6 +50,9 @@ MAX_TRIALS = 1_000_000
 MAX_RANDOM_T = 65_536
 MAX_RANDOM_P = 512
 MAX_BENCH_T = 100_000_000
+
+# positions formatted and written per stdout write in search
+PRINT_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -233,23 +237,52 @@ def _strip_fasta_headers(data: bytes) -> bytes:
 
 
 def _print_report(report: MatchReport, fmt: str) -> None:
+    """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at a time.
+
+    Each batch is formatted in one go (``"%d\n" * n % chunk`` for text;
+    for jsonl, one f-string per line around a head and a tail that are
+    built once, with the keys in sorted order) and handed to one
+    ``write``. The bytes equal a ``print`` per position, or a
+    ``json.dumps(..., sort_keys=True)`` per position for jsonl. The batch
+    is bounded so that a text where every window matches never holds its
+    whole output as one string: that would be one ``str`` per position,
+    tens of MB for a few hundred thousand positions.
+    """
+    pos = report.positions
+    write = sys.stdout.write
     if fmt == "jsonl":
-        for k in report.positions:
-            print(
-                json.dumps(
-                    {
-                        "algorithm": report.algorithm,
-                        "pattern_len": report.pattern_len,
-                        "text_len": report.text_len,
-                        "position": k,
-                        "position0": k - 1,
-                    },
-                    sort_keys=True,
-                )
-            )
+        head = (
+            f'{{"algorithm": {json.dumps(report.algorithm)}, '
+            f'"pattern_len": {report.pattern_len}, "position": '
+        )
+        tail = f', "text_len": {report.text_len}}}\n'
+        for i in range(0, len(pos), PRINT_BATCH):
+            write("".join([
+                f'{head}{k}, "position0": {k - 1}{tail}'
+                for k in pos[i:i + PRINT_BATCH]
+            ]))
     else:
-        for k in report.positions:
-            print(k)
+        for i in range(0, len(pos), PRINT_BATCH):
+            chunk = pos[i:i + PRINT_BATCH]
+            write("%d\n" * len(chunk) % chunk)
+
+
+def _stdout_to_devnull() -> None:
+    """Point the stdout file descriptor at the null device, if it has one.
+
+    After the reader of a pipe has gone, the flush at interpreter exit
+    would fail again and print "Exception ignored"; writes to the null
+    device succeed.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def cmd_search(args) -> int:
@@ -262,7 +295,12 @@ def cmd_search(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_report(report, args.format)
+    try:
+        _print_report(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); the matches were found
+        _stdout_to_devnull()
     return 0 if report.positions else 1
 
 

@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import lt
 
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Positions (1-based match starts, ascending) reported by one algorithm."""
+    """Positions (1-based match starts, ascending) reported by one algorithm.
+
+    Construction checks that the positions strictly increase and that
+    every window fits in the text, and raises ``ValueError`` otherwise.
+    The increase is checked pairwise in one C-level pass (``map`` of
+    ``operator.lt``) rather than a Python loop, because a text where
+    every window matches hands over one position per symbol; once the
+    positions increase, only the first and the last can be out of range.
+    The error names the first offending pair, not the whole tuple, so
+    its size does not grow with the report.
+    """
 
     algorithm: str
     positions: tuple[int, ...]
@@ -15,19 +27,25 @@ class MatchReport:
     text_len: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.positions, tuple):
-            object.__setattr__(self, "positions", tuple(self.positions))
+        pos = self.positions
+        if not isinstance(pos, tuple):
+            pos = tuple(pos)
+            object.__setattr__(self, "positions", pos)
+        if not pos:
+            return
+        if not all(map(lt, pos, islice(pos, 1, None))):
+            i = next(i for i in range(len(pos) - 1) if pos[i] >= pos[i + 1])
+            raise ValueError(
+                "positions not strictly increasing: "
+                f"positions[{i}]={pos[i]} >= positions[{i + 1}]={pos[i + 1]}"
+            )
         last_valid = self.text_len - self.pattern_len + 1
-        prev = 0
-        for k in self.positions:
-            if k <= prev:
-                raise ValueError(f"positions not strictly increasing: {self.positions}")
+        for k in (pos[0], pos[-1]):
             if not 1 <= k <= last_valid:
                 raise ValueError(
                     f"position {k} outside 1..{last_valid} "
                     f"(p={self.pattern_len}, t={self.text_len})"
                 )
-            prev = k
 
     def __bool__(self) -> bool:
         return bool(self.positions)

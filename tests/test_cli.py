@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from swapmatch.cli import _read_text_input, main
+from swapmatch.cli import PRINT_BATCH, _print_report, _read_text_input, main
+from swapmatch.report import MatchReport
+from swapmatch.smalgo import SEARCHERS
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,6 +98,74 @@ def test_search_jsonl_fields():
     assert [r["position0"] for r in rows] == [0, 1]
     assert all(r["algorithm"] == "gsm" for r in rows)
     assert all(r["pattern_len"] == 2 and r["text_len"] == 3 for r in rows)
+
+
+def _reference_print_report(report, fmt):
+    # the CLI's output before batching: one print per position
+    if fmt == "jsonl":
+        for k in report.positions:
+            print(
+                json.dumps(
+                    {
+                        "algorithm": report.algorithm,
+                        "pattern_len": report.pattern_len,
+                        "text_len": report.text_len,
+                        "position": k,
+                        "position0": k - 1,
+                    },
+                    sort_keys=True,
+                )
+            )
+    else:
+        for k in report.positions:
+            print(k)
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("algo", sorted(SEARCHERS))
+def test_print_report_equals_per_line_reference(algo, fmt, capsys):
+    b = PRINT_BATCH
+    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        # steps of 7 from 9 cross digit-width boundaries inside a batch
+        report = MatchReport(algo, range(9, 9 + 7 * n, 7), 3, 7 * n + 11)
+        _print_report(report, fmt)
+        got = capsys.readouterr().out
+        _reference_print_report(report, fmt)
+        assert got == capsys.readouterr().out, n
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
+    t = 3 * PRINT_BATCH + 101
+    path = tmp_path / "ab.txt"
+    path.write_bytes((b"ab" * t)[:t])
+    # every window of an ab-periodic text swap-matches abab
+    code = main(["search", "--file", str(path), "--pattern", "abab", "--format", fmt])
+    assert code == 0
+    got = capsys.readouterr().out
+    _reference_print_report(MatchReport("gsm", range(1, t - 2), 4, t), fmt)
+    assert got == capsys.readouterr().out
+
+
+def test_search_closed_pipe_exit_zero(tmp_path):
+    path = tmp_path / "ab.txt"
+    path.write_bytes(b"ab" * 100_000)  # ~1.3 MB of output, far more than a pipe holds
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swapmatch.cli", "search", "--file", str(path),
+             "--pattern", "abab"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        try:
+            assert proc.stdout.readline() == b"1\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=300)
+        finally:
+            proc.kill()
+    assert code == 0
+    assert err_path.read_bytes() == b""
 
 
 def test_search_fasta_strips_headers():
