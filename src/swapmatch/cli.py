@@ -339,6 +339,10 @@ def cmd_verify(args) -> int:
         return 2
     sigma = args.sigma
     try:
+        if not algos:
+            raise ValueError("algos must name at least one algorithm")
+        if not sigma:
+            raise ValueError("sigma must hold at least one symbol")
         if args.p_min < 1:
             raise ValueError("p-min must be >= 1")
         if args.p_min > args.p_max:
@@ -355,6 +359,8 @@ def cmd_verify(args) -> int:
                     f"{n_pat * n_txt} pairs exceed the cap {MAX_EXHAUSTIVE_PAIRS}"
                 )
         else:
+            if args.trials < 1:
+                raise ValueError("trials must be >= 1")
             if args.trials > MAX_TRIALS:
                 raise ValueError(f"trials cap is {MAX_TRIALS}")
             if args.t_max > MAX_RANDOM_T or args.p_max > MAX_RANDOM_P:

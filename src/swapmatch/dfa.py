@@ -379,6 +379,8 @@ def growth_table(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
     """Lower-bound reports for k = 1..k_max (pair checks off by default)."""
+    if k_max < 1:
+        raise ValueError("k-max must be >= 1")
     return [
         verify_lower_bound(
             k, pair_samples=pair_samples, state_cap=state_cap, k_cap=k_max

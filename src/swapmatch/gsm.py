@@ -21,26 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .bitvec import BitVector
-from .report import MatchReport
-
-
-@dataclass(frozen=True)
-class GsmMasks:
-    """Per-symbol position masks: bit i of ``d[x]`` set iff pattern[i] == x."""
-
-    p: int
-    d: Mapping[object, BitVector]
-    alphabet: frozenset
-
-    def mask_for(self, symbol) -> BitVector:
-        """Mask for a symbol; symbols outside the alphabet kill all signals."""
-        vec = self.d.get(symbol)
-        if vec is None:
-            return BitVector.zeros(self.p)
-        return vec
+from .report import MatchReport, check_search_inputs
 
 
 @dataclass(frozen=True)
@@ -69,8 +53,9 @@ def zero_state(p: int) -> GsmState:
     return GsmState(BitVector.zeros(p), BitVector.zeros(p), BitVector.zeros(p))
 
 
-def gsm_precompute(pattern: str | bytes, alphabet: Iterable | None = None) -> GsmMasks:
-    """Build the symbol masks; the masks partition positions 1..p.
+def gsm_precompute(pattern: str | bytes, alphabet: Iterable | None = None) -> dict:
+    """Build the symbol masks ``{x: BitVector}`` for ``gsm_step``: bit i of
+    ``masks[x]`` is set iff pattern[i] == x, so they partition positions 1..p.
 
     The alphabet defaults to the symbols occurring in the pattern. A
     declared alphabet may widen it (absent symbols get zero masks) but
@@ -87,13 +72,18 @@ def gsm_precompute(pattern: str | bytes, alphabet: Iterable | None = None) -> Gs
     values: dict = {x: 0 for x in declared}
     for i, x in enumerate(pattern):
         values[x] |= 1 << i
-    d = {x: BitVector(p, v) for x, v in values.items()}
-    return GsmMasks(p, d, declared)
+    return {x: BitVector(p, v) for x, v in values.items()}
 
 
-def gsm_step(state: GsmState, masks: GsmMasks, symbol) -> GsmState:
-    """One propagate-then-filter round; exactly 13 bitwise vector ops."""
-    d = masks.mask_for(symbol)
+def gsm_step(state: GsmState, masks: dict, symbol) -> GsmState:
+    """One propagate-then-filter round; exactly 13 bitwise vector ops.
+
+    A symbol without a mask (outside the alphabet) filters every signal
+    out.
+    """
+    d = masks.get(symbol)
+    if d is None:
+        d = BitVector.zeros(state.p)
     ru_prop = state.rd.lso()
     rm_prop = (state.rm | state.ru).lso()
     rd_prop = (state.rm | state.ru).lso()
@@ -104,13 +94,10 @@ def gsm_step(state: GsmState, masks: GsmMasks, symbol) -> GsmState:
     )
 
 
-def gsm_accepts(state: GsmState, p: int | None = None) -> bool:
+def gsm_accepts(state: GsmState) -> bool:
     """A signal at column p of row -1 or row 0 completes a match."""
-    if p is None:
-        p = state.p
-    if p < 1 or p > state.p:
-        return False
-    return bool(state.ru.get_bit(p) or state.rm.get_bit(p))
+    p = state.p
+    return p >= 1 and bool(state.ru.get_bit(p) or state.rm.get_bit(p))
 
 
 # -- fast engine: the recurrence column by column over text blocks -------------
@@ -141,26 +128,25 @@ class _Occurrences(dict):
         return value
 
 
-def _mask_triples(masks: GsmMasks, for_bytes: bool):
+def _mask_triples(pattern: str | bytes):
     """Per-column plan and per-symbol translate tables for the block scan.
 
-    Column i of the plan is ``(pat[i], pat[i-1], pat[i+1])`` as indices
-    into the tables (``None`` past either end): the transposed form of the
-    per-symbol filters ``(d, d<<1, d>>1)``. ``block.translate(tables[k])``
-    turns a block into a string of "0"/"1" with "1" where the block holds
-    symbol k.
+    The pattern's symbols are numbered in order of first occurrence.
+    Column i of the plan is ``(pat[i], pat[i-1], pat[i+1])`` as those
+    numbers (``None`` past either end): the transposed form of the
+    per-symbol filters ``(d, d<<1, d>>1)`` of ``gsm_step``.
+    ``block.translate(tables[k])`` turns a block into a string of "0"/"1"
+    with "1" where the block holds symbol k.
     """
-    p = masks.p
-    symbols = [x for x, v in masks.d.items() if v.value]
-    index = {}
-    for k, x in enumerate(symbols):
-        for i in masks.d[x].positions():
-            index[i - 1] = k
+    symbols = list(dict.fromkeys(pattern))
+    index = {x: k for k, x in enumerate(symbols)}
+    cols = [index[x] for x in pattern]
+    p = len(cols)
     plan = tuple(
-        (index[i], index[i - 1] if i else None, index[i + 1] if i + 1 < p else None)
+        (cols[i], cols[i - 1] if i else None, cols[i + 1] if i + 1 < p else None)
         for i in range(p)
     )
-    if for_bytes:
+    if isinstance(pattern, bytes):
         tables = [
             bytes(0x31 if b == x else 0x30 for b in range(256)) for x in symbols
         ]
@@ -192,8 +178,8 @@ def _extend_positions(out: list, a: int, first: int) -> None:
         out.extend(compress(positions, bits.encode().translate(_BIT_BYTES)))
 
 
-def _scan_chunk(table, j, p, chunk, ru, rm, rd, out):
-    """Feed one chunk through the recurrence; returns the carried state.
+def _scan_chunk(table, j, p, chunk, ca, cb, out):
+    """Feed one chunk through the recurrence; returns ``(j, ca, cb)`` to carry.
 
     The recurrence runs transposed: bit-parallel over the text positions
     of a block of ``BLOCK`` symbols, one pattern column at a time. In a
@@ -216,13 +202,12 @@ def _scan_chunk(table, j, p, chunk, ru, rm, rd, out):
     whatever p is. ``gsm_step`` is the literal 13-op per-symbol reference
     this is tested against.
 
-    The carried state holds ru|rm in ``rm`` (``ru`` comes back 0): only
-    that union and ``rd`` feed later symbols.
+    ``j`` counts the symbols scanned before the chunk; ``ca`` and ``cb``
+    carry A and B at the last position scanned (bit i for column i) into
+    the next call. The first call passes 0 for all three.
     """
     plan, tables = table
     cur0, _, nxt0 = plan[0]
-    ca = ru | rm
-    cb = rd
     for start in range(0, len(chunk), BLOCK):
         block = chunk[start:start + BLOCK]
         n = len(block)
@@ -253,22 +238,15 @@ def _scan_chunk(table, j, p, chunk, ru, rm, rd, out):
             _extend_positions(out, a, j + n - a.bit_length() + 2 - p)
         j += n
         ca, cb = na, nb
-    return j, 0, ca, cb
+    return j, ca, cb
 
 
 def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """All 1-based positions where the pattern swap-matches the text."""
-    p = len(pattern)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
-    is_bytes = isinstance(pattern, bytes)
-    if is_bytes != isinstance(text, bytes):
-        raise TypeError("pattern and text must both be str or both be bytes")
-    masks = gsm_precompute(pattern)
-    table = _mask_triples(masks, is_bytes)
+    check_search_inputs(pattern, text)
     out: list[int] = []
-    _scan_chunk(table, 0, p, text, 0, 0, 0, out)
-    return MatchReport("gsm", tuple(out), p, len(text))
+    _scan_chunk(_mask_triples(pattern), 0, len(pattern), text, 0, 0, out)
+    return MatchReport("gsm", tuple(out), len(pattern), len(text))
 
 
 def gsm_search_stream(
@@ -287,10 +265,9 @@ def gsm_search_stream(
     if p == 0:
         raise ValueError("pattern must be non-empty")
     is_bytes = isinstance(pattern, bytes)
-    masks = gsm_precompute(pattern)
-    table = _mask_triples(masks, is_bytes)
+    table = _mask_triples(pattern)
     join = b"".join if is_bytes else "".join
-    j = ru = rm = rd = 0
+    j = a = b = 0
     pending: list = []
     size = 0
     for chunk in chunks:
@@ -303,10 +280,10 @@ def gsm_search_stream(
         data = join(pending)
         cut = size - size % BLOCK
         out: list[int] = []
-        j, ru, rm, rd = _scan_chunk(table, j, p, data[:cut], ru, rm, rd, out)
+        j, a, b = _scan_chunk(table, j, p, data[:cut], a, b, out)
         pending = [data[cut:]]
         size -= cut
         yield from out
     out = []
-    _scan_chunk(table, j, p, join(pending), ru, rm, rd, out)
+    _scan_chunk(table, j, p, join(pending), a, b, out)
     yield from out

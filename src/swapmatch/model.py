@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .report import MatchReport
+from .report import MatchReport, check_search_inputs
 
 Vertex = tuple[int, int]  # (row, column), row in {-1, 0, +1}, column 1-based
 
@@ -159,9 +159,8 @@ def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:
 
 def bma_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """All swap-match positions, by running the sweep at every offset."""
+    check_search_inputs(pattern, text)
     p, t = len(pattern), len(text)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
     if p > t:
         return MatchReport("bma", (), p, t)
     graph = build_pgraph(pattern)

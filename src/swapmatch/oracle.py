@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TypeVar
 
-from .report import MatchReport
+from .report import MatchReport, check_search_inputs
 
 S = TypeVar("S", str, bytes)
 
@@ -98,9 +98,8 @@ def oracle_match_at(pattern: str | bytes, text: str | bytes, k: int) -> bool:
 
 def oracle_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """Every 1-based position where the pattern swap-matches the text."""
+    check_search_inputs(pattern, text)
     p, t = len(pattern), len(text)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
     positions = [
         k0 + 1 for k0 in range(t - p + 1) if _window_matches(pattern, text, k0)
     ]

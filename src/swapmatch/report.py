@@ -7,6 +7,18 @@ from itertools import islice
 from operator import lt
 
 
+def check_search_inputs(pattern, text) -> None:
+    """The input contract every searcher shares.
+
+    Raises ``ValueError`` for an empty pattern and ``TypeError`` unless
+    the pattern and the text are both ``str`` or both ``bytes``.
+    """
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    if isinstance(pattern, bytes) != isinstance(text, bytes):
+        raise TypeError("pattern and text must both be str or both be bytes")
+
+
 @dataclass(frozen=True)
 class MatchReport:
     """Positions (1-based match starts, ascending) reported by one algorithm.

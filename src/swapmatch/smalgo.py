@@ -25,7 +25,7 @@ from .bitvec import BitVector
 from .gsm import gsm_search
 from .model import build_pgraph, bma_search
 from .oracle import oracle_match_at, oracle_search
-from .report import MatchReport
+from .report import MatchReport, check_search_inputs
 
 Pair = tuple[object, object]
 Triple = tuple[object, object, object]
@@ -189,8 +189,7 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
 
 def smalgo1_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """SMALGO-I positions, false positives and all."""
-    if len(pattern) == 0:
-        raise ValueError("pattern must be non-empty")
+    check_search_inputs(pattern, text)
     if len(pattern) == 1:
         return _single_symbol_search("smalgo1", pattern, text)
     if len(text) < len(pattern):
@@ -216,9 +215,8 @@ def _reversed_int(vec: BitVector) -> int:
 
 def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """Corrected SMALGO-II positions (the false positives survive)."""
+    check_search_inputs(pattern, text)
     p, t = len(pattern), len(text)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
     if p == 1:
         return _single_symbol_search("smalgo2", pattern, text)
     if t < p:

@@ -338,10 +338,24 @@ def test_verify_cap_violation_exit_two():
         ["--mode", "random", "--p-min", "5", "--p-max", "3", "--t-min", "6"],
         ["--mode", "random", "--t-min", "8", "--t-max", "6"],
         ["--t-min", "-1"],
+        ["--mode", "random", "--sigma", ""],
+        ["--sigma", ""],
+        ["--algos", ""],
+        ["--algos", " , "],
+        ["--mode", "random", "--trials", "-5"],
+        ["--mode", "random", "--trials", "0"],
     ],
 )
 def test_verify_bad_lengths_exit_two(argv, capsys):
     assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_dfa_growth_bad_k_max_exit_two(k_max, capsys):
+    assert main(["dfa-growth", "--k-max", k_max]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -72,27 +72,27 @@ def state_bits(state: GsmState) -> set:
 
 def test_precompute_positions():
     masks = gsm_precompute("abab")
-    assert masks.d["a"].positions() == (1, 3)
-    assert masks.d["b"].positions() == (2, 4)
+    assert masks["a"].positions() == (1, 3)
+    assert masks["b"].positions() == (2, 4)
 
 
 def test_precompute_uniform():
     masks = gsm_precompute("aaaa", alphabet="ab")
-    assert masks.d["a"].positions() == (1, 2, 3, 4)
-    assert masks.d["b"].positions() == ()
+    assert masks["a"].positions() == (1, 2, 3, 4)
+    assert masks["b"].positions() == ()
 
 
 def test_precompute_acbab():
     masks = gsm_precompute("acbab")
-    assert masks.d["a"].positions() == (1, 4)
-    assert masks.d["c"].positions() == (2,)
-    assert masks.d["b"].positions() == (3, 5)
+    assert masks["a"].positions() == (1, 4)
+    assert masks["c"].positions() == (2,)
+    assert masks["b"].positions() == (3, 5)
 
 
 def test_precompute_masks_partition_positions():
     masks = gsm_precompute("abcabcxyz")
     for i in range(1, 10):
-        owners = [x for x, v in masks.d.items() if v.get_bit(i)]
+        owners = [x for x, v in masks.items() if v.get_bit(i)]
         assert len(owners) == 1
 
 
@@ -105,7 +105,10 @@ def test_precompute_errors():
 
 def test_unknown_symbol_filters_to_zero():
     masks = gsm_precompute("ab")
-    assert masks.mask_for("z").value == 0
+    assert "z" not in masks
+    state = gsm_step(zero_state(2), masks, "a")
+    assert state_bits(state) == {(0, 1)}
+    assert state_bits(gsm_step(state, masks, "z")) == set()
 
 
 # -- the step ----------------------------------------------------------------------
@@ -203,6 +206,24 @@ def test_search_empty_pattern_rejected():
 def test_search_type_mismatch():
     with pytest.raises(TypeError):
         gsm_search("ab", b"ab")
+
+
+def test_search_builds_no_bitvector(monkeypatch):
+    # the block scan reads the pattern directly; BitVector is only for
+    # the gsm_step reference
+    built = []
+    init = BitVector.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BitVector, "__init__", counting_init)
+    assert gsm_search("acbab", "babcabc").positions == (2,)
+    assert list(gsm_search_stream(b"acbab", [b"bab", b"cabc"])) == [2]
+    assert built == []
+    gsm_precompute("acbab")
+    assert built
 
 
 def test_search_high_byte_values():

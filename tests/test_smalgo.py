@@ -64,7 +64,7 @@ def test_degenerate_supersets_of_plain():
     for pattern in ["ab", "abab", "acbab", "aabba", "abcbbac"]:
         smasks = smalgo_precompute(pattern)
         gmasks = gsm_precompute(pattern)
-        for x, plain in gmasks.d.items():
+        for x, plain in gmasks.items():
             degenerate = smasks.dtilde_for(x)
             assert degenerate.value & plain.value == plain.value
 
