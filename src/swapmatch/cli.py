@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .bitvec import WORD_BITS
 from .dfa import (
@@ -36,8 +36,8 @@ from .oracle import oracle_search
 from .report import MatchReport
 from .smalgo import (
     SEARCHERS,
+    compare_with_oracle,
     exhaustive_strings,
-    find_discrepancies,
     format_discrepancies,
     smalgo1_trace,
     smalgo_precompute,
@@ -308,27 +308,26 @@ def _space_size(sigma: int, lo: int, hi: int) -> int:
     return sum(sigma ** n for n in range(lo, hi + 1))
 
 
-def _verify_batches(args) -> Iterator[tuple[Iterable[str], Iterable[str]]]:
-    """The (patterns, texts) spaces verify scans, generated lazily.
+def _verify_pairs(args) -> Iterator[tuple[str, str]]:
+    """The (pattern, text) pairs verify scans, generated lazily.
 
-    Exhaustive mode is one batch: every pattern against every text.
-    Random mode pairs one pattern with one text per trial; the trials are
-    drawn from ``Random(seed)`` as they are scanned, so memory does not
-    grow with ``--trials``.
+    Exhaustive mode pairs every pattern with every text. Random mode
+    draws one pattern and one text per trial from ``Random(seed)`` as the
+    trials are scanned, so memory does not grow with ``--trials``.
     """
     sigma = args.sigma
     if args.mode == "exhaustive":
-        yield (
-            exhaustive_strings(sigma, args.p_min, args.p_max),
-            exhaustive_strings(sigma, args.t_min, args.t_max),
-        )
+        texts = list(exhaustive_strings(sigma, args.t_min, args.t_max))
+        for pattern in exhaustive_strings(sigma, args.p_min, args.p_max):
+            for text in texts:
+                yield pattern, text
         return
     rng = Random(args.seed)
     for _ in range(args.trials):
         t_len = rng.randint(args.t_min, args.t_max)
         p_len = rng.randint(args.p_min, min(args.p_max, t_len))
         pattern = "".join(rng.choice(sigma) for _ in range(p_len))
-        yield [pattern], ["".join(rng.choice(sigma) for _ in range(t_len))]
+        yield pattern, "".join(rng.choice(sigma) for _ in range(t_len))
 
 
 def cmd_verify(args) -> int:
@@ -343,6 +342,8 @@ def cmd_verify(args) -> int:
             raise ValueError("algos must name at least one algorithm")
         if not sigma:
             raise ValueError("sigma must hold at least one symbol")
+        if len(set(sigma)) != len(sigma):
+            raise ValueError(f"sigma {sigma!r} repeats a symbol")
         if args.p_min < 1:
             raise ValueError("p-min must be >= 1")
         if args.p_min > args.p_max:
@@ -375,15 +376,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    results = compare_with_oracle(_verify_pairs(args), algos)
     failed = False
     all_found = []
     for algo in algos:
-        found = []
-        scanned = 0
-        for patterns, texts in _verify_batches(args):
-            res = find_discrepancies(patterns, texts, algo)
-            found.extend(res.discrepancies)
-            scanned += res.pairs_scanned
+        scanned, found = results[algo].pairs_scanned, results[algo].discrepancies
         all_found.extend(found)
         print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
         for d in found:

@@ -16,6 +16,7 @@ production matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .report import MatchReport, check_search_inputs
@@ -34,8 +35,9 @@ class PGraph:
     """The 3 x p swap graph of a pattern, stored as labels plus the edge rule.
 
     Edges are fixed by column index (rows -1 and 0 feed rows 0 and +1 of
-    the next column; row +1 feeds row -1), so they are enumerated from the
-    rule on demand instead of being materialized.
+    the next column; row +1 feeds row -1). The vertex labels, the columns
+    and the successor lists are computed from that rule once per graph,
+    on first use, and every query below reads those tables.
     """
 
     pattern: str | bytes
@@ -44,38 +46,54 @@ class PGraph:
     def p(self) -> int:
         return len(self.pattern)
 
+    @cached_property
+    def _labels(self) -> dict[Vertex, object]:
+        # vertex (r, c) reads pattern position r + c; the corners (-1, 1)
+        # and (1, p) would read positions 0 and p + 1 and are left out
+        pattern, p = self.pattern, len(self.pattern)
+        return {
+            (r, c): pattern[r + c - 1]
+            for c in range(1, p + 1)
+            for r in _ROWS
+            if 1 <= r + c <= p
+        }
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[Vertex, ...], ...]:
+        # index c holds column c; index 0 and p + 1 stay empty
+        columns: list[list[Vertex]] = [[] for _ in range(self.p + 2)]
+        for v in self._labels:
+            columns[v[1]].append(v)
+        return tuple(map(tuple, columns))
+
+    @cached_property
+    def _successors(self) -> dict[Vertex, tuple[Vertex, ...]]:
+        columns = self._columns
+        return {
+            (r, c): tuple(w for w in columns[c + 1] if (w[0] == -1) == (r == 1))
+            for r, c in self._labels
+        }
+
     def has_vertex(self, r: int, c: int) -> bool:
-        if r not in _ROWS or not 1 <= c <= self.p:
-            return False
-        if r == -1 and c == 1:
-            return False
-        if r == 1 and c == self.p:
-            return False
-        return True
+        return (r, c) in self._labels
 
     def label(self, r: int, c: int):
         """Symbol at vertex (r, c): pattern position r + c."""
-        if not self.has_vertex(r, c):
-            raise KeyError(f"no vertex ({r}, {c})")
-        return self.pattern[r + c - 1]
+        try:
+            return self._labels[(r, c)]
+        except KeyError:
+            raise KeyError(f"no vertex ({r}, {c})") from None
 
     def vertices(self) -> Iterator[Vertex]:
-        for c in range(1, self.p + 1):
-            for r in _ROWS:
-                if self.has_vertex(r, c):
-                    yield (r, c)
+        """Every vertex, column by column, rows -1, 0, +1 within a column."""
+        return iter(self._labels)
 
     def column(self, c: int) -> tuple[Vertex, ...]:
-        return tuple((r, c) for r in _ROWS if self.has_vertex(r, c))
+        return self._columns[c] if 1 <= c <= self.p else ()
 
     def successors(self, r: int, c: int) -> tuple[Vertex, ...]:
-        if c >= self.p:
-            return ()
-        if r == 1:
-            targets = ((-1, c + 1),)
-        else:
-            targets = ((0, c + 1), (1, c + 1))
-        return tuple(v for v in targets if self.has_vertex(*v))
+        """Heads of the edges out of (r, c); () for a position that is no vertex."""
+        return self._successors.get((r, c), ())
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         for u in self.vertices():
@@ -139,21 +157,24 @@ def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:
 
     Runs the signal sweep literally: filter by symbol, stop when no signal
     survives, accept only when a column-p vertex holds a signal, then
-    propagate along the edges.
+    propagate along the edges. Labels, columns and successors are read
+    from the graph's tables, which are built once per graph.
     """
     p = graph.p
     t = len(text)
     if not 1 <= k <= t - p + 1:
         raise ValueError(f"position {k} outside 1..{t - p + 1}")
-    signal: SignalState = set(graph.column(1))
+    labels, successors = graph._labels, graph._successors
+    accepting = graph._columns[p]
+    signal: SignalState = set(graph._columns[1])
     for i in range(p):
         x = text[k - 1 + i]
-        signal = {v for v in signal if graph.label(*v) == x}
+        signal = {v for v in signal if labels[v] == x}
         if not signal:
             return False
-        if any(c == p for _, c in signal):
+        if not signal.isdisjoint(accepting):
             return True
-        signal = {w for v in signal for w in graph.successors(*v)}
+        signal = {w for v in signal for w in successors[v]}
     return False
 
 

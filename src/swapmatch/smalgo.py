@@ -6,8 +6,15 @@ triplets with edge-pair masks and up/down/middle change masks. Both rest
 on the assumption that consecutive locally-feasible triplets (or pairs)
 share vertices, which is false, so both report false positives (for
 example pattern ``abab`` over text ``aaba``). This module reproduces that behavior
-bit-exactly on purpose; :func:`find_discrepancies` hunts such instances
-against the brute-force oracle.
+bit-exactly on purpose; :func:`compare_with_oracle` hunts such instances
+against the brute-force oracle, running the oracle once per pair for
+every algorithm it checks, and :func:`find_discrepancies` is its
+one-algorithm form.
+
+The searches build their masks as ints straight from the pattern
+(:func:`_mask_tables`), in the register order of each engine;
+:class:`SmalgoMasks` is a ``BitVector`` view of the same tables for
+display and tests.
 
 SMALGO-II here follows the repaired form of the original pseudocode
 (initialization and indexing fixed); the repairs do not remove the
@@ -23,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bitvec import BitVector
 from .gsm import gsm_search
-from .model import build_pgraph, bma_search
+from .model import bma_search
 from .oracle import oracle_match_at, oracle_search
 from .report import MatchReport, check_search_inputs
 
@@ -33,7 +40,7 @@ Triple = tuple[object, object, object]
 
 @dataclass(frozen=True)
 class SmalgoMasks:
-    """Mask tables for both SMALGO variants, in logical bit order (bit i = position i).
+    """A ``BitVector`` view of the SMALGO mask tables, in logical bit order (bit i = position i).
 
     ``dtilde[x]`` marks positions whose degenerate symbol set contains x
     (supersets of the plain masks). ``pmask3[(x1,x2,x3)]`` marks columns
@@ -42,6 +49,9 @@ class SmalgoMasks:
     The pair masks drive SMALGO-II: ``pmask2`` marks columns entered by an
     edge labeled (x, y), and ``up``/``down``/``middle`` mark columns where
     that edge lands on row -1 / +1 / 0.
+
+    The searches read the int tables of :func:`_mask_tables` directly;
+    this view wraps the same tables for display (``flaw-demo``) and tests.
     """
 
     p: int
@@ -62,55 +72,93 @@ class SmalgoMasks:
         return self.pmask3.get(triple, self.pmask3_default)
 
 
-def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
-    """Build every SMALGO mask from the pattern graph; needs p >= 2."""
+@dataclass(frozen=True)
+class MaskTables:
+    """The SMALGO masks as ints, in the bit order of one engine.
+
+    Column c of the pattern graph sits at bit c - 1 (SMALGO-I, and the
+    logical order of :class:`SmalgoMasks`) or at bit p - c (the reversed
+    SMALGO-II registers). ``first`` is the bit of column 1: it is set in
+    every ``pmask3`` and ``pmask2`` entry and is the default for a
+    triple or pair that has no entry.
+    """
+
+    dtilde: dict[object, int]
+    pmask3: dict[Triple, int]
+    pmask2: dict[Pair, int]
+    up: dict[Pair, int]
+    down: dict[Pair, int]
+    middle: dict[Pair, int]
+    first: int
+
+
+def _mask_tables(pattern: str | bytes, reverse: bool = False) -> MaskTables:
+    """Every SMALGO mask as an int, straight from the pattern; needs p >= 2.
+
+    Column c holds P[c-2] on row -1 (c >= 2), P[c-1] on row 0 and P[c]
+    on row +1 (c < p), 0-based. An edge joins columns c - 1 and c, and
+    it lands on row -1 exactly when it leaves row +1. So every mask bit
+    comes from the labels of three adjacent columns.
+    """
     p = len(pattern)
     if p < 2:
         raise ValueError("SMALGO masks need a pattern of length >= 2")
-    graph = build_pgraph(pattern)
-
-    # Degenerate sets are exactly the column label sets of the graph.
-    dtilde_vals: dict = {}
+    # columns[c]: (row, label) pairs of column c; index 0 and p + 1 are empty
+    columns = [()] + [
+        tuple((r, pattern[r + c - 1]) for r in (-1, 0, 1) if 1 <= r + c <= p)
+        for c in range(1, p + 1)
+    ] + [()]
+    dtilde: dict = {}
+    pmask3: dict = {}
+    pmask2: dict = {}
+    rows: dict[int, dict] = {-1: {}, 0: {}, 1: {}}  # up, middle, down
     for c in range(1, p + 1):
-        for v in graph.column(c):
-            x = graph.label(*v)
-            dtilde_vals[x] = dtilde_vals.get(x, 0) | (1 << (c - 1))
+        bit = 1 << (p - c) if reverse else 1 << (c - 1)
+        for _, x in columns[c]:
+            dtilde[x] = dtilde.get(x, 0) | bit
+        for r1, x in columns[c - 1]:
+            for r2, y in columns[c]:
+                if (r2 == -1) != (r1 == 1):
+                    continue
+                pair = (x, y)
+                pmask2[pair] = pmask2.get(pair, 0) | bit
+                lands = rows[r2]
+                lands[pair] = lands.get(pair, 0) | bit
+                for r3, z in columns[c + 1]:
+                    if (r3 == -1) == (r2 == 1):
+                        triple = (x, y, z)
+                        pmask3[triple] = pmask3.get(triple, 0) | bit
+    first = 1 << (p - 1) if reverse else 1
+    return MaskTables(
+        dtilde=dtilde,
+        pmask3={key: v | first for key, v in pmask3.items()},
+        pmask2={key: v | first for key, v in pmask2.items()},
+        up=rows[-1],
+        down=rows[1],
+        middle=rows[0],
+        first=first,
+    )
 
-    pmask3_vals: dict[Triple, int] = {}
-    pmask2_vals: dict[Pair, int] = {}
-    up_vals: dict[Pair, int] = {}
-    down_vals: dict[Pair, int] = {}
-    middle_vals: dict[Pair, int] = {}
-    for (r1, c1), (r2, c2) in graph.edges():
-        x, y = graph.label(r1, c1), graph.label(r2, c2)
-        bit = 1 << (c2 - 1)
-        pmask2_vals[(x, y)] = pmask2_vals.get((x, y), 0) | bit
-        rowmap = {-1: up_vals, 0: middle_vals, 1: down_vals}[r2]
-        rowmap[(x, y)] = rowmap.get((x, y), 0) | bit
-        for r3, c3 in graph.successors(r2, c2):
-            z = graph.label(r3, c3)
-            key = (x, y, z)
-            pmask3_vals[key] = pmask3_vals.get(key, 0) | bit
 
-    # Bit 1 is set for every triple/pair mask; masks that would carry
-    # nothing else collapse into the shared default.
-    default = BitVector(p, 1)
-    pmask3 = {
-        key: BitVector(p, v | 1) for key, v in pmask3_vals.items() if v > 1
-    }
-    pmask2 = {
-        key: BitVector(p, v | 1) for key, v in pmask2_vals.items() if v > 1
-    }
+def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
+    """Every SMALGO mask as a ``BitVector``, in logical order; needs p >= 2."""
+    p = len(pattern)
+    tables = _mask_tables(pattern)
+
+    def view(table: dict) -> dict:
+        return {key: BitVector(p, v) for key, v in table.items()}
+
+    default = BitVector(p, tables.first)
     return SmalgoMasks(
         p=p,
-        dtilde={x: BitVector(p, v) for x, v in dtilde_vals.items()},
-        pmask3=pmask3,
+        dtilde=view(tables.dtilde),
+        pmask3=view(tables.pmask3),
         pmask3_default=default,
-        pmask2=pmask2,
+        pmask2=view(tables.pmask2),
         pmask2_default=default,
-        up={k: BitVector(p, v) for k, v in up_vals.items()},
-        down={k: BitVector(p, v) for k, v in down_vals.items()},
-        middle={k: BitVector(p, v) for k, v in middle_vals.items()},
+        up=view(tables.up),
+        down=view(tables.down),
+        middle=view(tables.middle),
     )
 
 
@@ -141,10 +189,8 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
     Optionally records every full iteration's vectors in ``steps``.
     """
     p, t = len(pattern), len(text)
-    masks = smalgo_precompute(pattern)
-    dt = {x: v.value for x, v in masks.dtilde.items()}
-    pm3 = {key: v.value for key, v in masks.pmask3.items()}
-    default3 = masks.pmask3_default.value
+    tables = _mask_tables(pattern)
+    dt, pm3, default3 = tables.dtilde, tables.pmask3, tables.first
     check = 1 << (p - 2)
     positions: list[int] = []
 
@@ -206,13 +252,6 @@ def smalgo1_trace(pattern: str | bytes, text: str | bytes):
     return BitVector(len(pattern), r1), steps, report
 
 
-def _reversed_int(vec: BitVector) -> int:
-    # SMALGO-II registers run the other way around: position i sits at
-    # physical bit p-i, the seed enters at the top and matches exit at bit 0.
-    p = vec.length
-    return sum(1 << (p - i) for i in vec.positions())
-
-
 def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """Corrected SMALGO-II positions (the false positives survive)."""
     check_search_inputs(pattern, text)
@@ -222,13 +261,11 @@ def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     if t < p:
         return MatchReport("smalgo2", (), p, t)
 
-    masks = smalgo_precompute(pattern)
-    dt = {x: _reversed_int(v) for x, v in masks.dtilde.items()}
-    pm2 = {k: _reversed_int(v) for k, v in masks.pmask2.items()}
-    up = {k: _reversed_int(v) for k, v in masks.up.items()}
-    down = {k: _reversed_int(v) for k, v in masks.down.items()}
-    middle = {k: _reversed_int(v) for k, v in masks.middle.items()}
-    pm2_default = _reversed_int(masks.pmask2_default)
+    # SMALGO-II registers run the other way around: position i sits at
+    # physical bit p-i, the seed enters at the top and matches exit at bit 0.
+    tables = _mask_tables(pattern, reverse=True)
+    dt, pm2, pm2_default = tables.dtilde, tables.pmask2, tables.first
+    up, down, middle = tables.up, tables.down, tables.middle
 
     top = 1 << (p - 1)
     positions: list[int] = []
@@ -271,9 +308,9 @@ SEARCHERS = {
 def _reported_positions(algorithm: str, pattern, text) -> frozenset:
     """The positions an algorithm reports on one pair.
 
-    One entry is enough: :func:`find_discrepancies` emits all records of
-    a pair one after another, so each pair is searched once more, not
-    once per record.
+    One entry is enough: :func:`compare_with_oracle` emits all records of
+    an algorithm on a pair one after another, so each such pair is
+    searched once more, not once per record.
     """
     return frozenset(SEARCHERS[algorithm](pattern, text).positions)
 
@@ -309,27 +346,28 @@ class ScanResult:
     pairs_scanned: int
 
 
-def find_discrepancies(
-    patterns: Iterable[str | bytes],
-    texts: Sequence[str | bytes] | Iterable[str | bytes],
-    algorithm: str,
-) -> ScanResult:
-    """Scan pattern x text for positions where ``algorithm`` contradicts the oracle.
+def compare_with_oracle(
+    pairs: Iterable[tuple[str | bytes, str | bytes]],
+    algorithms: Iterable[str],
+) -> dict[str, ScanResult]:
+    """Check every algorithm against the oracle on each (pattern, text) pair.
 
-    ``texts`` is materialized once and replayed per pattern. Output order
-    is deterministic: input order, then ascending positions.
+    The oracle runs once per pair and each algorithm is compared with that
+    one result, so the pairs are consumed in a single pass and may come
+    from a lazy generator. Discrepancies keep input order, then ascending
+    positions; every algorithm has one result, keyed by its name.
     """
-    if algorithm not in SEARCHERS or algorithm == "oracle":
-        raise ValueError(f"cannot scan algorithm {algorithm!r}")
-    search = SEARCHERS[algorithm]
-    text_list = list(texts)
-    found: list[Discrepancy] = []
+    names = list(dict.fromkeys(algorithms))
+    for name in names:
+        if name not in SEARCHERS or name == "oracle":
+            raise ValueError(f"cannot scan algorithm {name!r}")
+    runs = [(name, SEARCHERS[name], []) for name in names]
     scanned = 0
-    for pattern in patterns:
-        for text in text_list:
-            scanned += 1
+    for pattern, text in pairs:
+        scanned += 1
+        want = oracle_search(pattern, text).positions
+        for algorithm, search, found in runs:
             got = search(pattern, text).positions
-            want = oracle_search(pattern, text).positions
             if got == want:
                 continue
             want_set = frozenset(want)
@@ -344,7 +382,22 @@ def find_discrepancies(
                     found.append(
                         Discrepancy(algorithm, pattern, text, k, "false-negative")
                     )
-    return ScanResult(tuple(found), scanned)
+    return {name: ScanResult(tuple(found), scanned) for name, _, found in runs}
+
+
+def find_discrepancies(
+    patterns: Iterable[str | bytes],
+    texts: Sequence[str | bytes] | Iterable[str | bytes],
+    algorithm: str,
+) -> ScanResult:
+    """Scan pattern x text for positions where ``algorithm`` contradicts the oracle.
+
+    ``texts`` is materialized once and replayed per pattern. Output order
+    is deterministic: input order, then ascending positions.
+    """
+    text_list = list(texts)
+    pairs = ((pattern, text) for pattern in patterns for text in text_list)
+    return compare_with_oracle(pairs, [algorithm])[algorithm]
 
 
 def exhaustive_strings(alphabet: str, min_len: int, max_len: int) -> Iterator[str]:

@@ -321,6 +321,30 @@ def test_verify_random_mode_deterministic():
     assert out == (DATA / "verify_random_ab_p6_t12_seed42.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["--mode", "random", "--algos", "gsm,bma,smalgo1,smalgo2", "--sigma", "ab",
+             "--p-min", "2", "--p-max", "8", "--t-min", "8", "--t-max", "24",
+             "--trials", "150", "--seed", "4"],
+            "verify_random_4algos_ab_p8_t24_seed4",
+        ),
+        (
+            ["--algos", "smalgo1,smalgo2,gsm,bma", "--p-max", "3", "--t-max", "6"],
+            "verify_exhaustive_4algos_ab_p3_t6",
+        ),
+    ],
+)
+def test_verify_four_algos_match_golden(argv, golden, tmp_path):
+    # the goldens pin every algo's block, their order and the fixture
+    fixture = tmp_path / "disc.tsv"
+    code, out, _ = invoke(["verify", *argv, "--fixture-out", str(fixture)])
+    assert code == 0
+    assert out == (DATA / f"{golden}.txt").read_text()
+    assert fixture.read_bytes() == (DATA / f"{golden}.tsv").read_bytes()
+
+
 def test_verify_cap_violation_exit_two():
     code, _, err = invoke(
         ["verify", "--sigma", "ab", "--p-max", "10", "--t-max", "26"]
@@ -344,6 +368,8 @@ def test_verify_cap_violation_exit_two():
         ["--algos", " , "],
         ["--mode", "random", "--trials", "-5"],
         ["--mode", "random", "--trials", "0"],
+        ["--sigma", "aab"],
+        ["--mode", "random", "--sigma", "aab"],
     ],
 )
 def test_verify_bad_lengths_exit_two(argv, capsys):

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from swapmatch.model import build_pgraph
 from swapmatch.oracle import oracle_search
 from swapmatch.smalgo import (
     Discrepancy,
+    _mask_tables,
+    compare_with_oracle,
     exhaustive_strings,
     find_discrepancies,
     format_discrepancies,
@@ -67,6 +70,79 @@ def test_degenerate_supersets_of_plain():
         for x, plain in gmasks.items():
             degenerate = smasks.dtilde_for(x)
             assert degenerate.value & plain.value == plain.value
+
+
+def _graph_walk_tables(pattern):
+    """The SMALGO masks by walking the pattern graph, in logical bit order.
+
+    The reference construction: degenerate masks from the column labels,
+    pair masks from every edge, triplet masks from every edge and each
+    successor of its head.
+    """
+    p = len(pattern)
+    graph = build_pgraph(pattern)
+    dtilde = {}
+    for c in range(1, p + 1):
+        for v in graph.column(c):
+            x = graph.label(*v)
+            dtilde[x] = dtilde.get(x, 0) | (1 << (c - 1))
+    pmask3, pmask2 = {}, {}
+    lands = {-1: {}, 0: {}, 1: {}}
+    for (r1, c1), (r2, c2) in graph.edges():
+        x, y = graph.label(r1, c1), graph.label(r2, c2)
+        bit = 1 << (c2 - 1)
+        pmask2[(x, y)] = pmask2.get((x, y), 0) | bit
+        lands[r2][(x, y)] = lands[r2].get((x, y), 0) | bit
+        for r3, c3 in graph.successors(r2, c2):
+            key = (x, y, graph.label(r3, c3))
+            pmask3[key] = pmask3.get(key, 0) | bit
+    return {
+        "dtilde": dtilde,
+        "pmask3": {key: v | 1 for key, v in pmask3.items()},
+        "pmask2": {key: v | 1 for key, v in pmask2.items()},
+        "up": lands[-1],
+        "down": lands[1],
+        "middle": lands[0],
+        "first": 1,
+    }
+
+
+def _reversed_order(tables, p):
+    # SMALGO-II order: the column at logical bit c - 1 moves to bit p - c
+    def flip(v):
+        return sum(1 << (p - c) for c in range(1, p + 1) if v >> (c - 1) & 1)
+
+    return {
+        name: flip(table) if name == "first" else {k: flip(v) for k, v in table.items()}
+        for name, table in tables.items()
+    }
+
+
+def _table_patterns():
+    yield from exhaustive_strings("abc", 2, 7)
+    yield from (b"ab", b"abab", b"\x00\xff\x00", b"ACGTTGCA", bytes(range(9)))
+
+
+def test_int_tables_equal_graph_walk():
+    checked = 0
+    for pattern in _table_patterns():
+        p = len(pattern)
+        want = _graph_walk_tables(pattern)
+        got = vars(_mask_tables(pattern))
+        assert got == want, pattern
+        assert vars(_mask_tables(pattern, reverse=True)) == _reversed_order(want, p), pattern
+        checked += 1
+    assert checked == sum(3**p for p in range(2, 8)) + 5
+
+
+def test_precompute_is_a_view_of_the_int_tables():
+    for pattern in ["ab", "abab", "acbab", "abcbbac", b"ACGTTGCA"]:
+        masks = smalgo_precompute(pattern)
+        want = _graph_walk_tables(pattern)
+        for name in ("dtilde", "pmask3", "pmask2", "up", "down", "middle"):
+            assert {k: v.value for k, v in getattr(masks, name).items()} == want[name]
+            assert all(v.length == len(pattern) for v in getattr(masks, name).values())
+        assert masks.pmask3_default.value == masks.pmask2_default.value == 1
 
 
 def test_precompute_rejects_short_patterns():
@@ -185,6 +261,18 @@ def test_find_discrepancies_gsm_clean():
     txts = list(exhaustive_strings("ab", 1, 5))
     res = find_discrepancies(pats, txts, "gsm")
     assert res.discrepancies == ()
+
+
+def test_compare_with_oracle_equals_one_scan_per_algorithm():
+    pats = list(exhaustive_strings("ab", 1, 4))
+    txts = list(exhaustive_strings("ab", 1, 6))
+    algos = ["smalgo2", "gsm", "smalgo1", "bma", "smalgo1"]
+    pairs = ((pat, txt) for pat in pats for txt in txts)
+    results = compare_with_oracle(pairs, algos)
+    assert list(results) == ["smalgo2", "gsm", "smalgo1", "bma"]
+    for algo in algos:
+        assert results[algo] == find_discrepancies(pats, txts, algo)
+    assert results["smalgo1"].pairs_scanned == len(pats) * len(txts)
 
 
 def test_find_discrepancies_rejects_oracle():
