@@ -340,6 +340,9 @@ def cmd_verify(args) -> int:
     try:
         if not algos:
             raise ValueError("algos must name at least one algorithm")
+        for i, algo in enumerate(algos):
+            if algo in algos[:i]:
+                raise ValueError(f"algos repeat {algo!r}")
         if not sigma:
             raise ValueError("sigma must hold at least one symbol")
         if len(set(sigma)) != len(sigma):

@@ -375,16 +375,13 @@ GROWTH_CSV_HEADER = "k,pattern_length,nfa_states,dfa_states,min_dfa_states,bound
 
 def growth_table(
     k_max: int,
-    pair_samples: int = 0,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
-    """Lower-bound reports for k = 1..k_max (pair checks off by default)."""
+    """Lower-bound reports for k = 1..k_max, without pair checks."""
     if k_max < 1:
         raise ValueError("k-max must be >= 1")
     return [
-        verify_lower_bound(
-            k, pair_samples=pair_samples, state_cap=state_cap, k_cap=k_max
-        )
+        verify_lower_bound(k, pair_samples=0, state_cap=state_cap, k_cap=k_max)
         for k in range(1, k_max + 1)
     ]
 

@@ -132,18 +132,6 @@ class PGraph:
             walk(start, [])
         return frozenset(out)
 
-    def to_dot(self) -> str:
-        """DOT rendering with vertex names m_r_c; layout is not guaranteed."""
-        lines = ["digraph pgraph {", "  rankdir=LR;"]
-        for r, c in self.vertices():
-            sym = self.label(r, c)
-            shown = chr(sym) if isinstance(sym, int) else str(sym)
-            lines.append(f'  "m_{r}_{c}" [label="{shown}"];')
-        for (r1, c1), (r2, c2) in self.edges():
-            lines.append(f'  "m_{r1}_{c1}" -> "m_{r2}_{c2}";')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_pgraph(pattern: str | bytes) -> PGraph:
     """Swap graph of the pattern; rejects empty patterns."""

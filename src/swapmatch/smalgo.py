@@ -11,10 +11,9 @@ against the brute-force oracle, running the oracle once per pair for
 every algorithm it checks, and :func:`find_discrepancies` is its
 one-algorithm form.
 
-The searches build their masks as ints straight from the pattern
-(:func:`_mask_tables`), in the register order of each engine;
-:class:`SmalgoMasks` is a ``BitVector`` view of the same tables for
-display and tests.
+Both searches read one int table, :class:`SmalgoMasks`, built straight
+from the pattern by :func:`smalgo_precompute`, with pattern column c at
+bit c - 1 in both engines.
 
 SMALGO-II here follows the repaired form of the original pseudocode
 (initialization and indexing fixed); the repairs do not remove the
@@ -26,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitvec import BitVector
 from .gsm import gsm_search
@@ -40,60 +39,38 @@ Triple = tuple[object, object, object]
 
 @dataclass(frozen=True)
 class SmalgoMasks:
-    """A ``BitVector`` view of the SMALGO mask tables, in logical bit order (bit i = position i).
+    """Every SMALGO mask as an int; column c of the pattern graph sits at bit c - 1.
 
-    ``dtilde[x]`` marks positions whose degenerate symbol set contains x
+    ``dtilde[x]`` marks columns whose degenerate symbol set contains x
     (supersets of the plain masks). ``pmask3[(x1,x2,x3)]`` marks columns
-    that sit mid-path on a labeled triplet; triples absent from the map
-    share ``pmask3_default`` (bit 1 alone; bit 1 is set for every triple).
-    The pair masks drive SMALGO-II: ``pmask2`` marks columns entered by an
-    edge labeled (x, y), and ``up``/``down``/``middle`` mark columns where
-    that edge lands on row -1 / +1 / 0.
+    that sit mid-path on a labeled triplet. The pair masks drive
+    SMALGO-II: ``pmask2`` marks columns entered by an edge labeled
+    (x, y), and ``up``/``down``/``middle`` mark columns where that edge
+    lands on row -1 / +1 / 0. Column 1 is set in every ``pmask3`` and
+    ``pmask2`` entry, and a triple or pair with no entry reads as 1.
 
-    The searches read the int tables of :func:`_mask_tables` directly;
-    this view wraps the same tables for display (``flaw-demo``) and tests.
+    Both searches read these ints; :meth:`dtilde_for` and
+    :meth:`pmask3_for` return one mask as a ``BitVector`` for display
+    (``flaw-demo``) and tests.
     """
 
     p: int
-    dtilde: Mapping[object, BitVector]
-    pmask3: Mapping[Triple, BitVector]
-    pmask3_default: BitVector
-    pmask2: Mapping[Pair, BitVector]
-    pmask2_default: BitVector
-    up: Mapping[Pair, BitVector]
-    down: Mapping[Pair, BitVector]
-    middle: Mapping[Pair, BitVector]
-
-    def dtilde_for(self, symbol) -> BitVector:
-        vec = self.dtilde.get(symbol)
-        return BitVector.zeros(self.p) if vec is None else vec
-
-    def pmask3_for(self, triple: Triple) -> BitVector:
-        return self.pmask3.get(triple, self.pmask3_default)
-
-
-@dataclass(frozen=True)
-class MaskTables:
-    """The SMALGO masks as ints, in the bit order of one engine.
-
-    Column c of the pattern graph sits at bit c - 1 (SMALGO-I, and the
-    logical order of :class:`SmalgoMasks`) or at bit p - c (the reversed
-    SMALGO-II registers). ``first`` is the bit of column 1: it is set in
-    every ``pmask3`` and ``pmask2`` entry and is the default for a
-    triple or pair that has no entry.
-    """
-
     dtilde: dict[object, int]
     pmask3: dict[Triple, int]
     pmask2: dict[Pair, int]
     up: dict[Pair, int]
     down: dict[Pair, int]
     middle: dict[Pair, int]
-    first: int
+
+    def dtilde_for(self, symbol) -> BitVector:
+        return BitVector(self.p, self.dtilde.get(symbol, 0))
+
+    def pmask3_for(self, triple: Triple) -> BitVector:
+        return BitVector(self.p, self.pmask3.get(triple, 1))
 
 
-def _mask_tables(pattern: str | bytes, reverse: bool = False) -> MaskTables:
-    """Every SMALGO mask as an int, straight from the pattern; needs p >= 2.
+def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
+    """Every SMALGO mask, straight from the pattern; needs p >= 2.
 
     Column c holds P[c-2] on row -1 (c >= 2), P[c-1] on row 0 and P[c]
     on row +1 (c < p), 0-based. An edge joins columns c - 1 and c, and
@@ -113,7 +90,7 @@ def _mask_tables(pattern: str | bytes, reverse: bool = False) -> MaskTables:
     pmask2: dict = {}
     rows: dict[int, dict] = {-1: {}, 0: {}, 1: {}}  # up, middle, down
     for c in range(1, p + 1):
-        bit = 1 << (p - c) if reverse else 1 << (c - 1)
+        bit = 1 << (c - 1)
         for _, x in columns[c]:
             dtilde[x] = dtilde.get(x, 0) | bit
         for r1, x in columns[c - 1]:
@@ -128,37 +105,14 @@ def _mask_tables(pattern: str | bytes, reverse: bool = False) -> MaskTables:
                     if (r3 == -1) == (r2 == 1):
                         triple = (x, y, z)
                         pmask3[triple] = pmask3.get(triple, 0) | bit
-    first = 1 << (p - 1) if reverse else 1
-    return MaskTables(
+    return SmalgoMasks(
+        p=p,
         dtilde=dtilde,
-        pmask3={key: v | first for key, v in pmask3.items()},
-        pmask2={key: v | first for key, v in pmask2.items()},
+        pmask3={key: v | 1 for key, v in pmask3.items()},
+        pmask2={key: v | 1 for key, v in pmask2.items()},
         up=rows[-1],
         down=rows[1],
         middle=rows[0],
-        first=first,
-    )
-
-
-def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
-    """Every SMALGO mask as a ``BitVector``, in logical order; needs p >= 2."""
-    p = len(pattern)
-    tables = _mask_tables(pattern)
-
-    def view(table: dict) -> dict:
-        return {key: BitVector(p, v) for key, v in table.items()}
-
-    default = BitVector(p, tables.first)
-    return SmalgoMasks(
-        p=p,
-        dtilde=view(tables.dtilde),
-        pmask3=view(tables.pmask3),
-        pmask3_default=default,
-        pmask2=view(tables.pmask2),
-        pmask2_default=default,
-        up=view(tables.up),
-        down=view(tables.down),
-        middle=view(tables.middle),
     )
 
 
@@ -189,8 +143,8 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
     Optionally records every full iteration's vectors in ``steps``.
     """
     p, t = len(pattern), len(text)
-    tables = _mask_tables(pattern)
-    dt, pm3, default3 = tables.dtilde, tables.pmask3, tables.first
+    masks = smalgo_precompute(pattern)
+    dt, pm3 = masks.dtilde, masks.pmask3
     check = 1 << (p - 2)
     positions: list[int] = []
 
@@ -211,7 +165,7 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
             lso = (r << 1) | 1
             dcur = dt.get(cur, 0)
             dnext_shifted = dt.get(nxt, 0) >> 1
-            pmask = pm3.get(key, default3)
+            pmask = pm3.get(key, 1)
             r = lso & dcur & dnext_shifted & pmask
             if steps is not None:
                 steps.append(
@@ -261,35 +215,33 @@ def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     if t < p:
         return MatchReport("smalgo2", (), p, t)
 
-    # SMALGO-II registers run the other way around: position i sits at
-    # physical bit p-i, the seed enters at the top and matches exit at bit 0.
-    tables = _mask_tables(pattern, reverse=True)
-    dt, pm2, pm2_default = tables.dtilde, tables.pmask2, tables.first
-    up, down, middle = tables.up, tables.down, tables.middle
+    masks = smalgo_precompute(pattern)
+    dt, pm2 = masks.dtilde, masks.pmask2
+    up, down, middle = masks.up, masks.down, masks.middle
 
-    top = 1 << (p - 1)
+    last = 1 << (p - 1)
     positions: list[int] = []
 
-    r = top & dt.get(text[0], 0)
-    r >>= 1
+    # A bit shifted past column p is cleared by the next ``r &= pm & d``.
+    r = (1 & dt.get(text[0], 0)) << 1
     checkup = checkdown = 0
     for j in range(t - 1):
         pair = (text[j], text[j + 1])
         d = dt.get(text[j + 1], 0)
-        pm = pm2.get(pair, pm2_default)
+        pm = pm2.get(pair, 1)
         u = up.get(pair, 0)
         dn = down.get(pair, 0)
         mi = middle.get(pair, 0)
 
         r &= pm & d
         r &= ~checkup | dn | mi
-        checkup = (u & ~dn & ~mi) >> 1
+        checkup = (u & ~dn & ~mi) << 1
         r &= ~checkdown | u
-        checkdown = (dn & ~u) >> 1
-        if r & 1:
+        checkdown = (dn & ~u) << 1
+        if r & last:
             # match ends at text index j+1 (0-based): start = j - p + 3 1-based
             positions.append(j - p + 3)
-        r = (r >> 1) | top
+        r = (r << 1) | 1
     return MatchReport("smalgo2", tuple(positions), p, t)
 
 
@@ -419,13 +371,3 @@ def format_discrepancies(items: Iterable[Discrepancy]) -> str:
         for d in items
     )
 
-
-def parse_discrepancies(payload: str) -> tuple[Discrepancy, ...]:
-    """Inverse of format_discrepancies (str fields; positions as ints)."""
-    out = []
-    for line in payload.splitlines():
-        if not line.strip():
-            continue
-        algo, pattern, text, position, kind = line.split("\t")
-        out.append(Discrepancy(algo, pattern, text, int(position), kind))
-    return tuple(out)

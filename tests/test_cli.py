@@ -370,6 +370,8 @@ def test_verify_cap_violation_exit_two():
         ["--mode", "random", "--trials", "0"],
         ["--sigma", "aab"],
         ["--mode", "random", "--sigma", "aab"],
+        ["--algos", "smalgo1,smalgo1"],
+        ["--mode", "random", "--algos", "gsm,smalgo1,gsm"],
     ],
 )
 def test_verify_bad_lengths_exit_two(argv, capsys):
@@ -377,6 +379,19 @@ def test_verify_bad_lengths_exit_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_verify_repeated_algo_writes_nothing(mode, tmp_path, capsys):
+    fixture = tmp_path / "found.tsv"
+    argv = ["verify", "--mode", mode, "--algos", "smalgo1,smalgo1",
+            "--p-min", "4", "--p-max", "4", "--t-min", "4", "--t-max", "4",
+            "--fixture-out", str(fixture)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: algos repeat 'smalgo1'\n"
+    assert not fixture.exists()
 
 
 @pytest.mark.parametrize("k_max", ["0", "-1"])

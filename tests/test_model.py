@@ -62,14 +62,6 @@ def test_pgraph_path_strings_match_oracle_enumeration():
         assert g.path_strings() == enumerate_swapped_versions(pattern)
 
 
-def test_pgraph_dot_dump():
-    dot = build_pgraph("ab").to_dot()
-    assert '"m_0_1"' in dot and '"m_1_1"' in dot and '"m_-1_2"' in dot
-    assert '"m_0_1" -> "m_0_2";' in dot
-    assert '"m_1_1" -> "m_-1_2";' in dot
-    assert dot.startswith("digraph")
-
-
 def test_bma_at_figure_example():
     g = build_pgraph("acbab")
     assert bma_at(g, "babcabc", 2) is True

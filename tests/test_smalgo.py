@@ -9,12 +9,10 @@ from swapmatch.model import build_pgraph
 from swapmatch.oracle import oracle_search
 from swapmatch.smalgo import (
     Discrepancy,
-    _mask_tables,
     compare_with_oracle,
     exhaustive_strings,
     find_discrepancies,
     format_discrepancies,
-    parse_discrepancies,
     smalgo1_search,
     smalgo1_trace,
     smalgo2_search,
@@ -73,7 +71,7 @@ def test_degenerate_supersets_of_plain():
 
 
 def _graph_walk_tables(pattern):
-    """The SMALGO masks by walking the pattern graph, in logical bit order.
+    """The SMALGO masks by walking the pattern graph, column c at bit c - 1.
 
     The reference construction: degenerate masks from the column labels,
     pair masks from every edge, triplet masks from every edge and each
@@ -97,24 +95,13 @@ def _graph_walk_tables(pattern):
             key = (x, y, graph.label(r3, c3))
             pmask3[key] = pmask3.get(key, 0) | bit
     return {
+        "p": p,
         "dtilde": dtilde,
         "pmask3": {key: v | 1 for key, v in pmask3.items()},
         "pmask2": {key: v | 1 for key, v in pmask2.items()},
         "up": lands[-1],
         "down": lands[1],
         "middle": lands[0],
-        "first": 1,
-    }
-
-
-def _reversed_order(tables, p):
-    # SMALGO-II order: the column at logical bit c - 1 moves to bit p - c
-    def flip(v):
-        return sum(1 << (p - c) for c in range(1, p + 1) if v >> (c - 1) & 1)
-
-    return {
-        name: flip(table) if name == "first" else {k: flip(v) for k, v in table.items()}
-        for name, table in tables.items()
     }
 
 
@@ -126,23 +113,9 @@ def _table_patterns():
 def test_int_tables_equal_graph_walk():
     checked = 0
     for pattern in _table_patterns():
-        p = len(pattern)
-        want = _graph_walk_tables(pattern)
-        got = vars(_mask_tables(pattern))
-        assert got == want, pattern
-        assert vars(_mask_tables(pattern, reverse=True)) == _reversed_order(want, p), pattern
+        assert vars(smalgo_precompute(pattern)) == _graph_walk_tables(pattern), pattern
         checked += 1
     assert checked == sum(3**p for p in range(2, 8)) + 5
-
-
-def test_precompute_is_a_view_of_the_int_tables():
-    for pattern in ["ab", "abab", "acbab", "abcbbac", b"ACGTTGCA"]:
-        masks = smalgo_precompute(pattern)
-        want = _graph_walk_tables(pattern)
-        for name in ("dtilde", "pmask3", "pmask2", "up", "down", "middle"):
-            assert {k: v.value for k, v in getattr(masks, name).items()} == want[name]
-            assert all(v.length == len(pattern) for v in getattr(masks, name).values())
-        assert masks.pmask3_default.value == masks.pmask2_default.value == 1
 
 
 def test_precompute_rejects_short_patterns():
@@ -293,9 +266,12 @@ def test_frozen_scan_fixture():
 
 
 def test_smalgo2_scan_counts_frozen():
+    # regression: the exhaustive {a,b} scan (p<=5, t<=7) frozen like SMALGO-I's
     pats = list(exhaustive_strings("ab", 1, 5))
     txts = list(exhaustive_strings("ab", 1, 7))
     res = find_discrepancies(pats, txts, "smalgo2")
+    fixture = (DATA / "smalgo2_scan_ab_p5_t7.tsv").read_text()
+    assert format_discrepancies(res.discrepancies) == fixture
     kinds = {"false-positive": 0, "false-negative": 0}
     for d in res.discrepancies:
         kinds[d.kind] += 1
@@ -326,4 +302,3 @@ def test_fixture_round_trip():
         "smalgo1\tabab\taaba\t1\tfalse-positive\n"
         "smalgo2\taa\taaa\t2\tfalse-negative\n"
     )
-    assert parse_discrepancies(payload) == items

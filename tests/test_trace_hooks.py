@@ -75,3 +75,7 @@ def test_verify_random_records_oracle_and_reverify_spans(tmp_path):
     # each pair with discrepancies runs its algorithm once more to
     # re-verify them, however many records it has
     assert values["smalgo.reverify_searches"] == 9
+    # every SMALGO search builds its masks through smalgo_precompute, as
+    # ints: no BitVector is built
+    assert values["smalgo.precompute_calls"] > 0
+    assert values["bitvec.vectors_built"] == 0
