@@ -19,6 +19,7 @@ import re
 import statistics
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
@@ -353,6 +354,8 @@ def cmd_verify(args) -> int:
             raise ValueError("p-min must be <= p-max")
         if args.t_min < 0:
             raise ValueError("t-min must be >= 0")
+        if args.t_min > args.t_max:
+            raise ValueError("t-min must be <= t-max")
         if args.mode == "exhaustive":
             n_pat = _space_size(len(sigma), args.p_min, args.p_max)
             n_txt = _space_size(len(sigma), args.t_min, args.t_max)
@@ -373,28 +376,28 @@ def cmd_verify(args) -> int:
                 )
             if args.t_min < args.p_min:
                 raise ValueError("random mode needs t-min >= p-min")
-            if args.t_min > args.t_max:
-                raise ValueError("t-min must be <= t-max")
-    except ValueError as exc:
+        # opened before the scan, so a bad path fails before any work
+        fixture = open(args.fixture_out, "w", encoding="utf-8") if args.fixture_out else None
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    results = compare_with_oracle(_verify_pairs(args), algos)
-    failed = False
-    all_found = []
-    for algo in algos:
-        scanned, found = results[algo].pairs_scanned, results[algo].discrepancies
-        all_found.extend(found)
-        print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
-        for d in found:
-            print(
-                f"  {d.algorithm}\t{d.pattern}\t{d.text}\t{d.position}\t{d.kind}"
-            )
-        if found and algo in ("gsm", "bma"):
-            failed = True
-    if args.fixture_out:
-        with open(args.fixture_out, "w", encoding="utf-8") as fh:
-            fh.write(format_discrepancies(all_found))
+    with fixture or nullcontext():
+        results = compare_with_oracle(_verify_pairs(args), algos)
+        failed = False
+        all_found = []
+        for algo in algos:
+            scanned, found = results[algo].pairs_scanned, results[algo].discrepancies
+            all_found.extend(found)
+            print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
+            for d in found:
+                print(
+                    f"  {d.algorithm}\t{d.pattern}\t{d.text}\t{d.position}\t{d.kind}"
+                )
+            if found and algo in ("gsm", "bma"):
+                failed = True
+        if fixture is not None:
+            fixture.write(format_discrepancies(all_found))
     return 2 if failed else 0
 
 
@@ -428,8 +431,11 @@ def cmd_dfa_states(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print("pattern,pattern_length,nfa_states,dfa_states,min_dfa_states")
-    print(f"{pattern},{len(pattern)},{nfa.n_states},{dfa.n_states},{mdfa.n_states}")
+    import csv  # here, not at the top: no other command pays for its import
+
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["pattern", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states"])
+    out.writerow([pattern, len(pattern), nfa.n_states, dfa.n_states, mdfa.n_states])
     return 0
 
 

@@ -4,8 +4,10 @@ The language of a pattern P is "anything, then a swapped version of P".
 Its natural NFA is small: a self-looping start state feeding the pattern
 graph. Determinizing and minimizing it, however, cannot stay small: for
 the family ``ac(abc)^k`` the minimal DFA needs at least 2^k states, and
-this module both builds the automata and verifies the bound empirically,
-including the pairwise distinguishing-extension argument behind it.
+this module both builds the automata (subset construction, then Moore
+partition refinement to a canonical minimal table) and verifies the bound
+empirically, including the pairwise distinguishing-extension argument
+behind it.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def nfa_accepts(nfa: Nfa, s: str | bytes | Iterable) -> bool:
     """Subset simulation of the NFA on one input string."""
     current = {nfa.start}
     for x in s:
-        current = set().union(*(nfa.moves(q, x) for q in current)) if current else set()
+        current = set().union(*(nfa.moves(q, x) for q in current))
     return bool(current & nfa.accepting)
 
 
@@ -113,7 +115,7 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         i += 1
         row = []
         for x in nfa.alphabet:
-            target = frozenset().union(*(nfa.moves(q, x) for q in subset)) if subset else frozenset()
+            target = frozenset().union(*(nfa.moves(q, x) for q in subset))
             tid = ids.get(target)
             if tid is None:
                 tid = len(order)
@@ -155,112 +157,49 @@ def dfa_scan_ends(dfa: Dfa, text: str | bytes) -> list[int]:
     return out
 
 
-def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    """View a DFA as an NFA (singleton move sets)."""
-    transitions = {
-        (s, x): frozenset({dfa.transitions[s][a]})
-        for s in range(dfa.n_states)
-        for a, x in enumerate(dfa.alphabet)
-    }
-    return Nfa(
-        n_states=dfa.n_states,
-        start=dfa.start,
-        alphabet=dfa.alphabet,
-        transitions=transitions,
-        accepting=dfa.accepting,
-    )
-
-
 def minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft partition refinement; returns the canonical minimal DFA.
+    """Moore partition refinement; returns the canonical minimal DFA.
 
-    States unreachable from the start are dropped first so the result is
-    the true minimal automaton for the language.
+    Blocks start as the accepting/non-accepting split. Each round gives
+    every state the signature (own block, block of each successor) and
+    renumbers blocks by signature; it stops when a round splits no block.
+    The result numbers the blocks in BFS order from the start block, so
+    blocks holding only unreachable states are dropped and equal
+    languages give equal tables.
+
+    Round r separates the states that some word of length <= r tells
+    apart, so the rounds number one more than the longest shortest
+    distinguishing word. In a swap DFA for a length-p pattern every
+    state agrees on words of p or more symbols (only the self-looping
+    start state still reaches acceptance on them), so refinement stops
+    within p rounds. A round builds the signatures in one C-level
+    ``map``/``zip`` pass over the transposed table and numbers them in
+    one dict pass.
     """
-    # restrict to reachable states
-    reach = [dfa.start]
-    seen = {dfa.start}
-    for s in reach:
-        for t in dfa.transitions[s]:
-            if t not in seen:
-                seen.add(t)
-                reach.append(t)
-    remap = {old: new for new, old in enumerate(reach)}
-    n = len(reach)
-    n_sym = len(dfa.alphabet)
-    trans = [
-        [remap[dfa.transitions[old][a]] for a in range(n_sym)] for old in reach
-    ]
-    accepting = {remap[s] for s in dfa.accepting if s in remap}
+    columns = list(zip(*dfa.transitions))  # [symbol index][state] -> state
+    block = [s in dfa.accepting for s in range(dfa.n_states)]
+    n_blocks = len(set(block))
+    while True:
+        signatures = zip(block, *(map(block.__getitem__, c) for c in columns))
+        ids: dict[tuple, int] = {}
+        block = [ids.setdefault(sig, len(ids)) for sig in signatures]
+        if len(ids) == n_blocks:
+            break
+        n_blocks = len(ids)
 
-    inverse: list[list[list[int]]] = [
-        [[] for _ in range(n)] for _ in range(n_sym)
-    ]
-    for s in range(n):
-        for a in range(n_sym):
-            inverse[a][trans[s][a]].append(s)
-
-    finals = frozenset(accepting)
-    others = frozenset(range(n)) - finals
-    partition: set[frozenset[int]] = {b for b in (finals, others) if b}
-    block_of = {}
-    for block in partition:
-        for s in block:
-            block_of[s] = block
-    worklist: set[frozenset[int]] = set()
-    if finals and others:
-        worklist.add(finals if len(finals) <= len(others) else others)
-
-    while worklist:
-        splitter = worklist.pop()
-        for a in range(n_sym):
-            preimage: dict[frozenset[int], set[int]] = {}
-            for t in splitter:
-                for s in inverse[a][t]:
-                    preimage.setdefault(block_of[s], set()).add(s)
-            for block, hit in preimage.items():
-                if len(hit) == len(block):
-                    continue
-                part1 = frozenset(hit)
-                part2 = block - part1
-                partition.remove(block)
-                partition.add(part1)
-                partition.add(part2)
-                for s in part1:
-                    block_of[s] = part1
-                for s in part2:
-                    block_of[s] = part2
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(part1)
-                    worklist.add(part2)
-                else:
-                    worklist.add(part1 if len(part1) <= len(part2) else part2)
-
-    # renumber blocks in BFS order from the start block for a canonical table
-    start_block = block_of[remap[dfa.start]]
-    block_ids = {start_block: 0}
-    block_order = [start_block]
+    member = dict(zip(block, range(dfa.n_states)))  # one state per block
+    order = [block[dfa.start]]
+    new_id = {order[0]: 0}
     rows: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(block_order):
-        block = block_order[i]
-        i += 1
-        probe = next(iter(block))
-        row = []
-        for a in range(n_sym):
-            target = block_of[trans[probe][a]]
-            tid = block_ids.get(target)
-            if tid is None:
-                tid = len(block_order)
-                block_ids[target] = tid
-                block_order.append(target)
-            row.append(tid)
-        rows.append(tuple(row))
-    new_accepting = frozenset(
-        block_ids[b] for b in block_order if next(iter(b)) in finals
-    )
-    return Dfa(alphabet=dfa.alphabet, transitions=tuple(rows), accepting=new_accepting)
+    for b in order:
+        targets = [block[t] for t in dfa.transitions[member[b]]]
+        for t in targets:
+            if t not in new_id:
+                new_id[t] = len(order)
+                order.append(t)
+        rows.append(tuple(map(new_id.__getitem__, targets)))
+    accepting = frozenset(i for i, b in enumerate(order) if member[b] in dfa.accepting)
+    return Dfa(alphabet=dfa.alphabet, transitions=tuple(rows), accepting=accepting)
 
 
 # -- the exponential family ----------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behavior: inputs, formats, exit codes, goldens, determinism."""
 
 import argparse
+import csv
 import json
 import random
 import subprocess
@@ -372,6 +373,7 @@ def test_verify_cap_violation_exit_two():
         ["--mode", "random", "--sigma", "aab"],
         ["--algos", "smalgo1,smalgo1"],
         ["--mode", "random", "--algos", "gsm,smalgo1,gsm"],
+        ["--t-min", "7", "--t-max", "6"],
     ],
 )
 def test_verify_bad_lengths_exit_two(argv, capsys):
@@ -392,6 +394,17 @@ def test_verify_repeated_algo_writes_nothing(mode, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: algos repeat 'smalgo1'\n"
     assert not fixture.exists()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_verify_fixture_out_missing_dir_exit_two(mode, tmp_path, capsys):
+    # the path is opened before any pair is scanned
+    fixture = tmp_path / "missing" / "found.tsv"
+    assert main(["verify", "--mode", mode, "--fixture-out", str(fixture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not fixture.parent.exists()
 
 
 @pytest.mark.parametrize("k_max", ["0", "-1"])
@@ -430,6 +443,32 @@ def test_dfa_states_single_pattern():
     lines = out.strip().split("\n")
     assert lines[0] == "pattern,pattern_length,nfa_states,dfa_states,min_dfa_states"
     assert lines[1].startswith("acabc,5,14,")
+
+
+DFA_STATES_HEADER = "pattern,pattern_length,nfa_states,dfa_states,min_dfa_states\n"
+
+
+@pytest.mark.parametrize(
+    "pattern, row",
+    [
+        ("acabc", "acabc,5,14,21,21\n"),
+        ("abcbbac", "abcbbac,7,20,30,28\n"),
+        ("abababababab", "abababababab,12,35,672,672\n"),
+        ("acabcabcabcabc", "acabcabcabcabc,14,41,272,272\n"),
+    ],
+)
+def test_dfa_states_rows_pinned(pattern, row, capsys):
+    assert main(["dfa-states", "--pattern", pattern]) == 0
+    assert capsys.readouterr().out == DFA_STATES_HEADER + row
+
+
+def test_dfa_states_quotes_csv_pattern(capsys):
+    assert main(["dfa-states", "--pattern", "a,b"]) == 0
+    out = capsys.readouterr().out
+    assert out == DFA_STATES_HEADER + '"a,b",3,8,9,9\n'
+    rows = list(csv.reader(out.splitlines()))
+    assert [len(r) for r in rows] == [5, 5]
+    assert rows[1][0] == "a,b"
 
 
 def test_dfa_states_cap_exit_two():

@@ -1,17 +1,19 @@
 """Swap-language automata: construction, determinization, minimization, blowup."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from swapmatch.cli import main
 from swapmatch.dfa import (
     Dfa,
+    Nfa,
     StateLimitExceeded,
     build_swap_nfa,
     determinize,
     dfa_accepts,
     dfa_scan_ends,
-    dfa_to_nfa,
     growth_csv,
     growth_table,
     minimize,
@@ -23,8 +25,128 @@ from swapmatch.dfa import (
 from swapmatch.gsm import gsm_search
 from swapmatch.oracle import oracle_match_at
 
+DATA = Path(__file__).parent / "data"
+
 # frozen minimal-DFA state counts for the blowup family, k = 1..6
 FAMILY_MIN_STATES = {1: 21, 2: 56, 3: 127, 4: 272, 5: 565, 6: 1154}
+
+
+def dfa_to_nfa(dfa: Dfa) -> Nfa:
+    """View a DFA as an NFA (singleton move sets)."""
+    transitions = {
+        (s, x): frozenset({dfa.transitions[s][a]})
+        for s in range(dfa.n_states)
+        for a, x in enumerate(dfa.alphabet)
+    }
+    return Nfa(
+        n_states=dfa.n_states,
+        start=dfa.start,
+        alphabet=dfa.alphabet,
+        transitions=transitions,
+        accepting=dfa.accepting,
+    )
+
+
+def hopcroft_minimize(dfa: Dfa) -> Dfa:
+    """Reference minimizer: Hopcroft's worklist refinement, same canonical numbering.
+
+    Drops unreachable states first, refines the accepting/non-accepting
+    split by preimages of splitter blocks, then numbers the blocks in BFS
+    order from the start block.
+    """
+    reach = [dfa.start]
+    seen = {dfa.start}
+    for s in reach:
+        for t in dfa.transitions[s]:
+            if t not in seen:
+                seen.add(t)
+                reach.append(t)
+    remap = {old: new for new, old in enumerate(reach)}
+    n = len(reach)
+    n_sym = len(dfa.alphabet)
+    trans = [
+        [remap[dfa.transitions[old][a]] for a in range(n_sym)] for old in reach
+    ]
+    accepting = {remap[s] for s in dfa.accepting if s in remap}
+
+    inverse: list[list[list[int]]] = [
+        [[] for _ in range(n)] for _ in range(n_sym)
+    ]
+    for s in range(n):
+        for a in range(n_sym):
+            inverse[a][trans[s][a]].append(s)
+
+    finals = frozenset(accepting)
+    others = frozenset(range(n)) - finals
+    partition: set[frozenset[int]] = {b for b in (finals, others) if b}
+    block_of = {}
+    for block in partition:
+        for s in block:
+            block_of[s] = block
+    worklist: set[frozenset[int]] = set()
+    if finals and others:
+        worklist.add(finals if len(finals) <= len(others) else others)
+
+    while worklist:
+        splitter = worklist.pop()
+        for a in range(n_sym):
+            preimage: dict[frozenset[int], set[int]] = {}
+            for t in splitter:
+                for s in inverse[a][t]:
+                    preimage.setdefault(block_of[s], set()).add(s)
+            for block, hit in preimage.items():
+                if len(hit) == len(block):
+                    continue
+                part1 = frozenset(hit)
+                part2 = block - part1
+                partition.remove(block)
+                partition.add(part1)
+                partition.add(part2)
+                for s in part1:
+                    block_of[s] = part1
+                for s in part2:
+                    block_of[s] = part2
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.add(part1)
+                    worklist.add(part2)
+                else:
+                    worklist.add(part1 if len(part1) <= len(part2) else part2)
+
+    start_block = block_of[remap[dfa.start]]
+    block_ids = {start_block: 0}
+    block_order = [start_block]
+    rows: list[tuple[int, ...]] = []
+    i = 0
+    while i < len(block_order):
+        block = block_order[i]
+        i += 1
+        probe = next(iter(block))
+        row = []
+        for a in range(n_sym):
+            target = block_of[trans[probe][a]]
+            tid = block_ids.get(target)
+            if tid is None:
+                tid = len(block_order)
+                block_ids[target] = tid
+                block_order.append(target)
+            row.append(tid)
+        rows.append(tuple(row))
+    new_accepting = frozenset(
+        block_ids[b] for b in block_order if next(iter(b)) in finals
+    )
+    return Dfa(alphabet=dfa.alphabet, transitions=tuple(rows), accepting=new_accepting)
+
+
+def reachable(dfa: Dfa) -> set[int]:
+    seen = {dfa.start}
+    todo = [dfa.start]
+    for s in todo:
+        for t in dfa.transitions[s]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
 
 
 def suffix_swap_matches(pattern: str, s: str) -> bool:
@@ -147,6 +269,83 @@ def test_minimize_is_canonical_across_constructions():
     a = minimize(determinize(build_swap_nfa("acabc", "abc")))
     b = minimize(determinize(dfa_to_nfa(determinize(build_swap_nfa("acabc", "abc")))))
     assert a.n_states == b.n_states
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_minimize_equals_hopcroft_on_family(k):
+    dfa = determinize(build_swap_nfa(pattern_family(k), "abc"))
+    assert minimize(dfa) == hopcroft_minimize(dfa)
+
+
+def random_dfa(rng: random.Random, kind: int) -> Dfa:
+    """Up to 40 states over 1-3 symbols, with a random start state.
+
+    ``kind`` 0 makes every state accepting and 1 none; otherwise each state
+    accepts with probability 0.4. Random successors leave some states
+    unreachable from the start.
+    """
+    n = rng.randint(1, 40)
+    alphabet = tuple("xyz"[: rng.randint(1, 3)])
+    transitions = tuple(
+        tuple(rng.randrange(n) for _ in alphabet) for _ in range(n)
+    )
+    if kind == 0:
+        accepting = frozenset(range(n))
+    elif kind == 1:
+        accepting = frozenset()
+    else:
+        accepting = frozenset(s for s in range(n) if rng.random() < 0.4)
+    return Dfa(alphabet, transitions, accepting, start=rng.randrange(n))
+
+
+def test_minimize_equals_hopcroft_on_random_dfas():
+    rng = random.Random(8)
+    with_unreachable = 0
+    for i in range(3000):
+        dfa = random_dfa(rng, i % 10)
+        assert minimize(dfa) == hopcroft_minimize(dfa), dfa
+        with_unreachable += len(reachable(dfa)) < dfa.n_states
+    assert with_unreachable >= 1000
+
+
+def test_minimize_equals_hopcroft_on_swap_patterns():
+    rng = random.Random(14)
+    for p in list(range(1, 15)) * 3:
+        pattern = "".join(rng.choice("abcd") for _ in range(p))
+        dfa = determinize(build_swap_nfa(pattern, "abcd"))
+        assert minimize(dfa) == hopcroft_minimize(dfa), pattern
+
+
+def chain_dfa(n: int) -> Dfa:
+    """Two equivalent copies of an n-state chain that only long words tell apart.
+
+    In each copy, 'a' steps to the next state (the last one loops) and 'b'
+    jumps to the start of the other copy; only the last states accept.
+    States j < i of one copy first differ on a^(n-1-i), so states 0 and 1
+    need a word of n - 2 symbols and refinement runs n - 1 rounds. The two
+    copies merge.
+    """
+    rows = []
+    for copy in (0, n):
+        other = n - copy
+        for i in range(n):
+            rows.append((copy + min(i + 1, n - 1), other))
+    return Dfa(("a", "b"), tuple(rows), frozenset({n - 1, 2 * n - 1}))
+
+
+def test_minimize_equals_hopcroft_on_long_chain():
+    dfa = chain_dfa(30)
+    got = minimize(dfa)
+    assert got == hopcroft_minimize(dfa)
+    assert got.n_states == 30
+    assert dfa_accepts(got, "a" * 29) and not dfa_accepts(got, "a" * 28)
+
+
+def test_dfa_growth_k8_matches_golden(capsys):
+    # k = 7 and 8 (2335 and 4700 minimal states) are pinned only here
+    assert main(["dfa-growth", "--k-max", "8"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (DATA / "dfa_growth_k8.csv").read_bytes()
 
 
 def test_minimized_language_unchanged():
