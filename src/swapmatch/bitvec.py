@@ -1,13 +1,12 @@
 """Fixed-length bit vectors with 1-based logical indexing.
 
-A :class:`BitVector` holds ``length`` logical bits; bit 1 is the least
-significant bit of word 0. Values are kept canonical: every bit at a
-position greater than ``length`` is zero after every operation, so shifts
-silently discard overflow instead of growing the vector.
-
-The payload is a single Python int (CPython already stores ints as arrays
-of machine words, so this is the multi-word representation), while the
-``words`` property exposes the conventional view as 64-bit words.
+:class:`BitVector` is the value type of the reference GSM step
+(``gsm_step``) and of the SMALGO-I trace. It holds ``length`` logical
+bits in one int, bit 1 being the least significant. Values are kept
+canonical: every bit at a position greater than ``length`` is zero after
+every operation, so shifts silently discard overflow instead of growing
+the vector. The operations are exactly those of the paper's 13-op step:
+``lshift1``, ``lso``, ``rshift1``, ``&`` and ``|``.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from typing import Iterable, Iterator
-
-WORD_BITS = 64
 
 # Live operation tally, or None when instrumentation is off.  Enabled via
 # count_ops() so the bitwise cost of an algorithm step can be asserted.
@@ -33,7 +30,7 @@ def count_ops() -> Iterator[Counter[str]]:
     """Count primitive bitwise operations executed inside the block.
 
     Yields a live Counter keyed by operation kind (``lshift``, ``rshift``,
-    ``and``, ``or``, ``not``). Nesting restores the previous tally.
+    ``and``, ``or``). Nesting restores the previous tally.
     """
     global _COUNTS
     prev = _COUNTS
@@ -76,24 +73,6 @@ class BitVector:
             value |= 1 << (i - 1)
         return cls(length, value)
 
-    @classmethod
-    def from01(cls, bits: str) -> "BitVector":
-        """Parse the debug rendering: leftmost character is bit 1."""
-        if bits.strip("01"):
-            raise ValueError(f"expected a string of 0s and 1s, got {bits!r}")
-        value = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                value |= 1 << i
-        return cls(len(bits), value)
-
-    @property
-    def words(self) -> tuple[int, ...]:
-        """The vector as ceil(length/64) machine words, word 0 first."""
-        n = (self.length + WORD_BITS - 1) // WORD_BITS
-        mask = (1 << WORD_BITS) - 1
-        return tuple((self.value >> (WORD_BITS * k)) & mask for k in range(n))
-
     # -- primitive operations ------------------------------------------------
 
     def lshift1(self) -> "BitVector":
@@ -128,27 +107,13 @@ class BitVector:
         _tally("or")
         return BitVector(self.length, self.value | other.value)
 
-    def __invert__(self) -> "BitVector":
-        _tally("not")
-        return BitVector(self.length, ~self.value)
-
     # -- bit access ----------------------------------------------------------
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.length:
-            raise IndexError(f"bit index {i} out of range 1..{self.length}")
 
     def get_bit(self, i: int) -> int:
         """Read logical bit i (1-based)."""
-        self._check_index(i)
+        if not 1 <= i <= self.length:
+            raise IndexError(f"bit index {i} out of range 1..{self.length}")
         return (self.value >> (i - 1)) & 1
-
-    def set_bit(self, i: int, bit: int = 1) -> "BitVector":
-        """Return a copy with logical bit i set to ``bit``."""
-        self._check_index(i)
-        if bit:
-            return BitVector(self.length, self.value | (1 << (i - 1)))
-        return BitVector(self.length, self.value & ~(1 << (i - 1)))
 
     def positions(self) -> tuple[int, ...]:
         """Ascending 1-based positions of all set bits."""
@@ -168,11 +133,5 @@ class BitVector:
     def __hash__(self) -> int:
         return hash((self.length, self.value))
 
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __len__(self) -> int:
-        return self.length
-
     def __repr__(self) -> str:
-        return f"BitVector.from01({self.to01()!r})"
+        return f"BitVector({self.length}, {self.value:#b})"

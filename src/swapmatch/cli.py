@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
-from .bitvec import WORD_BITS
 from .dfa import (
     DEFAULT_STATE_CAP,
     build_swap_nfa,
@@ -51,6 +50,9 @@ MAX_TRIALS = 1_000_000
 MAX_RANDOM_T = 65_536
 MAX_RANDOM_P = 512
 MAX_BENCH_T = 100_000_000
+
+# machine word size for the words column of bench records
+WORD_BITS = 64
 
 # positions formatted and written per stdout write in search
 PRINT_BATCH = 4096
@@ -159,14 +161,13 @@ def flaw_demo_text() -> str:
         key=lambda t: (t.count("b"), t),
     )
     header = ["i", "deg"] + ["D~a", "D~b"] + ["".join(t) for t in triples]
-    rows = []
-    for i in range(1, p + 1):
-        row = [str(i), degenerate_sets[i - 1]]
-        row.append(str(masks.dtilde_for("a").get_bit(i)))
-        row.append(str(masks.dtilde_for("b").get_bit(i)))
-        for t in triples:
-            row.append(str(masks.pmask3_for(t).get_bit(i)))
-        rows.append(row)
+    # column c of each mask is bit c - 1; a triplet with no entry reads as 1
+    cells = [masks.dtilde.get(x, 0) for x in "ab"]
+    cells += [masks.pmask3.get(t, 1) for t in triples]
+    rows = [
+        [str(i), degenerate_sets[i - 1]] + [str(m >> (i - 1) & 1) for m in cells]
+        for i in range(1, p + 1)
+    ]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(len(header))]
     out.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for r in rows:
@@ -385,19 +386,17 @@ def cmd_verify(args) -> int:
     with fixture or nullcontext():
         results = compare_with_oracle(_verify_pairs(args), algos)
         failed = False
-        all_found = []
         for algo in algos:
             scanned, found = results[algo].pairs_scanned, results[algo].discrepancies
-            all_found.extend(found)
             print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
             for d in found:
                 print(
                     f"  {d.algorithm}\t{d.pattern}\t{d.text}\t{d.position}\t{d.kind}"
                 )
+            if fixture is not None:
+                fixture.write(format_discrepancies(found))
             if found and algo in ("gsm", "bma"):
                 failed = True
-        if fixture is not None:
-            fixture.write(format_discrepancies(all_found))
     return 2 if failed else 0
 
 
@@ -423,8 +422,6 @@ def cmd_dfa_growth(args) -> int:
 def cmd_dfa_states(args) -> int:
     try:
         pattern = args.pattern
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
         nfa = build_swap_nfa(pattern, args.alphabet or None)
         dfa = determinize(nfa, args.state_cap)
         mdfa = minimize(dfa)

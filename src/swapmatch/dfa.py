@@ -18,8 +18,12 @@ from typing import Iterable, Mapping
 
 from .model import build_pgraph
 from .oracle import oracle_match_at
+from .report import pattern_alphabet
 
 DEFAULT_STATE_CAP = 1 << 20
+
+# largest k that verify_lower_bound accepts
+MAX_FAMILY_K = 10
 
 
 class StateLimitExceeded(RuntimeError):
@@ -35,9 +39,6 @@ class Nfa:
     alphabet: tuple
     transitions: Mapping[tuple[int, object], frozenset[int]]
     accepting: frozenset[int]
-
-    def moves(self, state: int, symbol) -> frozenset[int]:
-        return self.transitions.get((state, symbol), frozenset())
 
 
 @dataclass(frozen=True)
@@ -61,15 +62,7 @@ def build_swap_nfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Nf
     starts; the remaining states are the pattern-graph vertices, entered
     on their labels.
     """
-    p = len(pattern)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
-    symbols = frozenset(pattern)
-    declared = symbols if alphabet is None else frozenset(alphabet)
-    if not symbols <= declared:
-        missing = sorted(symbols - declared, key=repr)
-        raise ValueError(f"alphabet does not cover pattern symbols: {missing}")
-    alpha = tuple(sorted(declared, key=repr))
+    alpha = tuple(sorted(pattern_alphabet(pattern, alphabet), key=repr))
 
     graph = build_pgraph(pattern)
     ids = {v: i + 1 for i, v in enumerate(graph.vertices())}
@@ -97,14 +90,16 @@ def build_swap_nfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Nf
 
 def nfa_accepts(nfa: Nfa, s: str | bytes | Iterable) -> bool:
     """Subset simulation of the NFA on one input string."""
+    moves = nfa.transitions
     current = {nfa.start}
     for x in s:
-        current = set().union(*(nfa.moves(q, x) for q in current))
+        current = set().union(*(moves.get((q, x), ()) for q in current))
     return bool(current & nfa.accepting)
 
 
 def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Subset construction over reachable subsets only."""
+    moves = nfa.transitions
     start = frozenset({nfa.start})
     ids: dict[frozenset[int], int] = {start: 0}
     order = [start]
@@ -115,7 +110,7 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
         i += 1
         row = []
         for x in nfa.alphabet:
-            target = frozenset().union(*(nfa.moves(q, x) for q in subset))
+            target = frozenset().union(*(moves.get((q, x), ()) for q in subset))
             tid = ids.get(target)
             if tid is None:
                 tid = len(order)
@@ -267,16 +262,19 @@ def verify_lower_bound(
     pair_samples: int = 100,
     seed: int = 0,
     state_cap: int = DEFAULT_STATE_CAP,
-    k_cap: int = 10,
 ) -> LowerBoundReport:
     """Build, determinize and minimize the family automaton and check the bound.
 
     Also exercises the pairwise distinguishing argument on sampled (i, j)
-    pairs (all pairs when there are few). k is capped to keep runs at
-    desk scale.
+    pairs (all pairs when there are few). k is capped at
+    ``MAX_FAMILY_K`` to keep runs at desk scale.
     """
-    if k > k_cap:
-        raise ValueError(f"k={k} exceeds the cap {k_cap}")
+    if k > MAX_FAMILY_K:
+        raise ValueError(f"k={k} exceeds the cap {MAX_FAMILY_K}")
+    return _lower_bound(k, pair_samples, seed, state_cap)
+
+
+def _lower_bound(k: int, pair_samples: int, seed: int, state_cap: int) -> LowerBoundReport:
     pattern = pattern_family(k)
     nfa = build_swap_nfa(pattern, "abc")
     dfa = determinize(nfa, state_cap)
@@ -316,13 +314,13 @@ def growth_table(
     k_max: int,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[LowerBoundReport]:
-    """Lower-bound reports for k = 1..k_max, without pair checks."""
+    """Lower-bound reports for k = 1..k_max, without pair checks.
+
+    k_max is not capped: the state cap bounds the work.
+    """
     if k_max < 1:
         raise ValueError("k-max must be >= 1")
-    return [
-        verify_lower_bound(k, pair_samples=0, state_cap=state_cap, k_cap=k_max)
-        for k in range(1, k_max + 1)
-    ]
+    return [_lower_bound(k, 0, 0, state_cap) for k in range(1, k_max + 1)]
 
 
 def growth_csv(rows: Iterable[LowerBoundReport]) -> str:

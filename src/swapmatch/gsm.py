@@ -24,7 +24,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from .bitvec import BitVector
-from .report import MatchReport, check_search_inputs
+from .report import MatchReport, check_search_inputs, pattern_alphabet
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,10 @@ def gsm_precompute(pattern: str | bytes, alphabet: Iterable | None = None) -> di
     declared alphabet may widen it (absent symbols get zero masks) but
     must cover every pattern symbol.
     """
-    p = len(pattern)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
-    symbols = frozenset(pattern)
-    declared = symbols if alphabet is None else frozenset(alphabet)
-    if not symbols <= declared:
-        missing = sorted(symbols - declared, key=repr)
-        raise ValueError(f"alphabet does not cover pattern symbols: {missing}")
-    values: dict = {x: 0 for x in declared}
+    values: dict = {x: 0 for x in pattern_alphabet(pattern, alphabet)}
     for i, x in enumerate(pattern):
         values[x] |= 1 << i
-    return {x: BitVector(p, v) for x, v in values.items()}
+    return {x: BitVector(len(pattern), v) for x, v in values.items()}
 
 
 def gsm_step(state: GsmState, masks: dict, symbol) -> GsmState:

@@ -74,9 +74,6 @@ class PGraph:
             for r, c in self._labels
         }
 
-    def has_vertex(self, r: int, c: int) -> bool:
-        return (r, c) in self._labels
-
     def label(self, r: int, c: int):
         """Symbol at vertex (r, c): pattern position r + c."""
         try:
@@ -102,11 +99,11 @@ class PGraph:
 
     @property
     def vertex_count(self) -> int:
-        return sum(1 for _ in self.vertices())
+        return len(self._labels)
 
     @property
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        return sum(map(len, self._successors.values()))
 
     def accepting(self) -> tuple[Vertex, ...]:
         """Column-p vertices; a signal surviving there completes a match."""

@@ -19,6 +19,23 @@ def check_search_inputs(pattern, text) -> None:
         raise TypeError("pattern and text must both be str or both be bytes")
 
 
+def pattern_alphabet(pattern, alphabet=None) -> frozenset:
+    """The alphabet a pattern's automaton or masks are built over.
+
+    It defaults to the symbols occurring in the pattern. A declared
+    alphabet may widen it but must cover every pattern symbol; an empty
+    pattern or an uncovered symbol raises ``ValueError``.
+    """
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    symbols = frozenset(pattern)
+    declared = symbols if alphabet is None else frozenset(alphabet)
+    if not symbols <= declared:
+        missing = sorted(symbols - declared, key=repr)
+        raise ValueError(f"alphabet does not cover pattern symbols: {missing}")
+    return declared
+
+
 @dataclass(frozen=True)
 class MatchReport:
     """Positions (1-based match starts, ascending) reported by one algorithm.

@@ -49,9 +49,9 @@ class SmalgoMasks:
     lands on row -1 / +1 / 0. Column 1 is set in every ``pmask3`` and
     ``pmask2`` entry, and a triple or pair with no entry reads as 1.
 
-    Both searches read these ints; :meth:`dtilde_for` and
-    :meth:`pmask3_for` return one mask as a ``BitVector`` for display
-    (``flaw-demo``) and tests.
+    Both searches and ``flaw-demo`` read these ints; :meth:`pmask3_for`
+    returns one triplet mask as a ``BitVector``, the form in which the
+    tests state the paper's table.
     """
 
     p: int
@@ -61,9 +61,6 @@ class SmalgoMasks:
     up: dict[Pair, int]
     down: dict[Pair, int]
     middle: dict[Pair, int]
-
-    def dtilde_for(self, symbol) -> BitVector:
-        return BitVector(self.p, self.dtilde.get(symbol, 0))
 
     def pmask3_for(self, triple: Triple) -> BitVector:
         return BitVector(self.p, self.pmask3.get(triple, 1))

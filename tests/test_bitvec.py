@@ -33,7 +33,7 @@ def assert_matches(v: BitVector, bits: list[bool]) -> None:
 
 
 vectors = st.builds(
-    lambda bits: (BitVector.from01("".join("1" if b else "0" for b in bits)), bits),
+    lambda bits: (BitVector(len(bits), sum(b << i for i, b in enumerate(bits))), bits),
     st.lists(st.booleans(), min_size=0, max_size=256),
 )
 
@@ -41,14 +41,11 @@ vectors = st.builds(
 def test_zeros_basic():
     assert BitVector.zeros(4).to01() == "0000"
     assert BitVector.zeros(0).length == 0
-    assert BitVector.zeros(0).words == ()
 
 
 def test_zeros_multiword():
-    v = BitVector.zeros(130)
-    assert len(v.words) == 3
-    assert v.words == (0, 0, 0)
-    # the top bits of the last word stay masked even if set explicitly
+    assert BitVector.zeros(130).value == 0
+    # the bits above the length stay masked even if set explicitly
     assert BitVector(130, 1 << 135).value == 0
 
 
@@ -92,16 +89,10 @@ def test_rshift1_definition():
 
 
 def test_and_or_definition():
-    a = BitVector.from01("1100")
-    b = BitVector.from01("1010")
+    a = BitVector(4, 0b0011)
+    b = BitVector(4, 0b0101)
     assert (a & b).to01() == "1000"
     assert (a | b).to01() == "1110"
-
-
-def test_invert_masks_to_length():
-    v = ~BitVector.zeros(4)
-    assert v.to01() == "1111"
-    assert v.value == 0b1111  # nothing above bit 4
 
 
 def test_binary_length_mismatch():
@@ -114,10 +105,9 @@ def test_binary_length_mismatch():
 def test_get_set_bit_round_trip():
     length = 130
     for i in (1, 64, 65, length):
-        v = BitVector.zeros(length).set_bit(i)
+        v = BitVector(length, 1 << (i - 1))
         assert v.get_bit(i) == 1
         assert v.positions() == (i,)
-        assert v.set_bit(i, 0).value == 0
 
 
 def test_get_bit_examples():
@@ -130,8 +120,6 @@ def test_bit_index_out_of_range():
     for bad in (0, 5, -1):
         with pytest.raises(IndexError):
             v.get_bit(bad)
-        with pytest.raises(IndexError):
-            v.set_bit(bad)
 
 
 def test_zero_length_ops_are_noops():
@@ -139,7 +127,6 @@ def test_zero_length_ops_are_noops():
     assert v.lshift1().value == 0
     assert v.lso().value == 0
     assert v.rshift1().value == 0
-    assert (~v).value == 0
 
 
 @given(vectors)
@@ -148,7 +135,6 @@ def test_ops_match_reference(pair):
     assert_matches(v.lshift1(), ref_lshift1(bits))
     assert_matches(v.rshift1(), ref_rshift1(bits))
     assert_matches(v.lso(), ref_lso(bits))
-    assert_matches(~v, [not b for b in bits])
 
 
 @given(vectors, vectors)
@@ -165,7 +151,7 @@ def test_binary_ops_match_reference(pa, pb):
 @given(vectors)
 def test_canonical_form_preserved(pair):
     v, _ = pair
-    for result in (v.lshift1(), v.rshift1(), v.lso(), ~v, v & v, v | v):
+    for result in (v.lshift1(), v.rshift1(), v.lso(), v & v, v | v):
         assert result.value >> result.length == 0
 
 
@@ -175,18 +161,8 @@ def test_shift_inverse_up_to_boundary(pair):
     lhs = v.lshift1().rshift1().lshift1()
     rhs = v.lshift1()
     if v.length >= 1:
-        rhs = rhs.set_bit(1, 0)
+        rhs = BitVector(rhs.length, rhs.value & ~1)
     assert lhs == rhs
-
-
-@given(vectors)
-def test_words_round_trip(pair):
-    v, _ = pair
-    total = 0
-    for k, w in enumerate(v.words):
-        assert 0 <= w < (1 << 64)
-        total |= w << (64 * k)
-    assert total == v.value
 
 
 def test_from_positions_range_checked():
@@ -194,14 +170,6 @@ def test_from_positions_range_checked():
         BitVector.from_positions(4, [5])
     with pytest.raises(IndexError):
         BitVector.from_positions(4, [0])
-
-
-def test_from01_round_trip():
-    v = BitVector.from01("10110")
-    assert v.to01() == "10110"
-    assert v.positions() == (1, 3, 4)
-    with pytest.raises(ValueError):
-        BitVector.from01("10x1")
 
 
 def test_count_ops_counts_primitives():

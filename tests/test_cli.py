@@ -415,6 +415,14 @@ def test_dfa_growth_bad_k_max_exit_two(k_max, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_dfa_growth_past_family_cap_stops_at_state_cap(capsys):
+    # only verify_lower_bound caps k; the table is bounded by the state cap
+    assert main(["dfa-growth", "--k-max", "11", "--state-cap", "20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset construction exceeded 20000 states\n"
+
+
 def test_flaw_demo_matches_golden():
     code, out, _ = invoke(["flaw-demo"])
     assert code == 0
@@ -477,6 +485,13 @@ def test_dfa_states_cap_exit_two():
     )
     assert code == 2
     assert "error" in err
+
+
+def test_dfa_states_empty_pattern_exit_two(capsys):
+    assert main(["dfa-states", "--pattern", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern must be non-empty\n"
 
 
 def test_bench_csv_schema():

@@ -14,8 +14,8 @@ def test_pgraph_figure_example():
     assert [g.label(-1, c) for c in range(2, 8)] == list("abcbba")
     assert [g.label(0, c) for c in range(1, 8)] == list("abcbbac")
     assert [g.label(1, c) for c in range(1, 7)] == list("bcbbac")
-    assert not g.has_vertex(-1, 1)
-    assert not g.has_vertex(1, 7)
+    assert (-1, 1) not in g.vertices()
+    assert (1, 7) not in g.vertices()
 
 
 def test_pgraph_single_symbol():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from swapmatch.bitvec import BitVector
 from swapmatch.model import build_pgraph
 from swapmatch.oracle import oracle_search
 from swapmatch.smalgo import (
@@ -36,8 +37,8 @@ ABAB_PMASKS = {
 
 def test_degenerate_masks_abab():
     masks = smalgo_precompute("abab")
-    assert masks.dtilde_for("a").to01() == "1111"
-    assert masks.dtilde_for("b").to01() == "1111"
+    assert BitVector(4, masks.dtilde["a"]).to01() == "1111"
+    assert BitVector(4, masks.dtilde["b"]).to01() == "1111"
 
 
 def test_pmask_columns_abab():
@@ -55,8 +56,8 @@ def test_pmask_bit_one_always_set():
 
 def test_degenerate_masks_ab():
     masks = smalgo_precompute("ab")
-    assert masks.dtilde_for("a").to01() == "11"
-    assert masks.dtilde_for("b").to01() == "11"
+    assert BitVector(2, masks.dtilde["a"]).to01() == "11"
+    assert BitVector(2, masks.dtilde["b"]).to01() == "11"
 
 
 def test_degenerate_supersets_of_plain():
@@ -66,8 +67,8 @@ def test_degenerate_supersets_of_plain():
         smasks = smalgo_precompute(pattern)
         gmasks = gsm_precompute(pattern)
         for x, plain in gmasks.items():
-            degenerate = smasks.dtilde_for(x)
-            assert degenerate.value & plain.value == plain.value
+            degenerate = smasks.dtilde.get(x, 0)
+            assert degenerate & plain.value == plain.value
 
 
 def _graph_walk_tables(pattern):

@@ -6,10 +6,15 @@ per-layer metric. Each command runs in a fresh process, as the benchmark
 runs it, with the recorder installed.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from swapmatch.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,3 +84,18 @@ def test_verify_random_records_oracle_and_reverify_spans(tmp_path):
     # ints: no BitVector is built
     assert values["smalgo.precompute_calls"] > 0
     assert values["bitvec.vectors_built"] == 0
+
+
+def test_dfa_growth_records_automaton_spans(tmp_path):
+    run = traced(tmp_path, ["dfa-growth", "--k-max", "3"])
+    assert run["code"] == 0
+    values = run["values"]
+    assert values["dfa.determinize_s"] > 0
+    assert values["dfa.minimize_s"] > 0
+    # the spans count the states of every table row (204 for k = 1..3)
+    direct = io.StringIO()
+    with redirect_stdout(direct):
+        assert main(["dfa-growth", "--k-max", "3"]) == 0
+    rows = list(csv.DictReader(io.StringIO(direct.getvalue())))
+    assert values["dfa.dfa_states"] == sum(int(r["dfa_states"]) for r in rows)
+    assert values["dfa.min_dfa_states"] == sum(int(r["min_dfa_states"]) for r in rows)
