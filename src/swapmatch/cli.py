@@ -22,7 +22,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .dfa import (
     DEFAULT_STATE_CAP,
@@ -103,8 +103,15 @@ def run_bench(
     """Median-of-reps timings on seeded random text, one record per (algo, p)."""
     if reps < 3:
         raise ValueError("reps must be >= 3")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if t > MAX_BENCH_T:
         raise ValueError(f"t={t} exceeds the cap {MAX_BENCH_T}")
+    for i, p in enumerate(p_list):
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        if p in p_list[:i]:
+            raise ValueError(f"p-list repeats {p}")
     records = []
     for algo in algos:
         search = SEARCHERS[algo]
@@ -180,7 +187,7 @@ def flaw_demo_text() -> str:
     for s in steps:
         key = "".join(str(x) for x in s.pmask_key)
         out.append(
-            f"R^{s.j} = LSO(R^{s.j - 1}) & D~[{text[s.j - 1]}] & RShift(D~[{text[s.j] if s.j < len(text) else '?'}]) & P({key})"
+            f"R^{s.j} = LSO(R^{s.j - 1}) & D~[{text[s.j - 1]}] & RShift(D~[{text[s.j]}]) & P({key})"
             f" = {s.lso_r.to01()} & {s.dtilde_cur.to01()} & {s.rshift_dtilde_next.to01()}"
             f" & {s.pmask.to01()} = {s.r_next.to01()}"
         )
@@ -332,19 +339,29 @@ def _verify_pairs(args) -> Iterator[tuple[str, str]]:
         yield pattern, "".join(rng.choice(sigma) for _ in range(t_len))
 
 
-def cmd_verify(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    unknown = [a for a in algos if a not in SEARCHERS or a == "oracle"]
+def _parse_algos(spec: str, choices: Collection[str]) -> list[str]:
+    """The algorithms that a comma-separated ``--algos`` value names.
+
+    Raises ``ValueError`` unless the value names at least one, takes each
+    from ``choices`` and repeats none.
+    """
+    algos = [a.strip() for a in spec.split(",") if a.strip()]
+    if not algos:
+        raise ValueError("algos must name at least one algorithm")
+    unknown = [a for a in algos if a not in choices]
     if unknown:
-        print(f"error: cannot verify {unknown}", file=sys.stderr)
-        return 2
+        raise ValueError(f"algos {unknown} not among {sorted(choices)}")
+    for i, algo in enumerate(algos):
+        if algo in algos[:i]:
+            raise ValueError(f"algos repeat {algo!r}")
+    return algos
+
+
+def cmd_verify(args) -> int:
     sigma = args.sigma
     try:
-        if not algos:
-            raise ValueError("algos must name at least one algorithm")
-        for i, algo in enumerate(algos):
-            if algo in algos[:i]:
-                raise ValueError(f"algos repeat {algo!r}")
+        # the oracle is the ground truth, so it cannot be verified
+        algos = _parse_algos(args.algos, SEARCHERS.keys() - {"oracle"})
         if not sigma:
             raise ValueError("sigma must hold at least one symbol")
         if len(set(sigma)) != len(sigma):
@@ -389,12 +406,10 @@ def cmd_verify(args) -> int:
         for algo in algos:
             scanned, found = results[algo].pairs_scanned, results[algo].discrepancies
             print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
-            for d in found:
-                print(
-                    f"  {d.algorithm}\t{d.pattern}\t{d.text}\t{d.position}\t{d.kind}"
-                )
+            records = [format_discrepancies([d]) for d in found]
+            sys.stdout.write("".join(f"  {r}" for r in records))
             if fixture is not None:
-                fixture.write(format_discrepancies(found))
+                fixture.write("".join(records))
             if found and algo in ("gsm", "bma"):
                 failed = True
     return 2 if failed else 0
@@ -437,12 +452,8 @@ def cmd_dfa_states(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    unknown = [a for a in algos if a not in SEARCHERS]
-    if unknown:
-        print(f"error: unknown algorithms {unknown}", file=sys.stderr)
-        return 2
     try:
+        algos = _parse_algos(args.algos, SEARCHERS)
         p_list = [int(x) for x in args.p_list.split(",")]
         records = run_bench(algos, p_list, args.t, args.sigma, args.seed, args.reps)
     except ValueError as exc:

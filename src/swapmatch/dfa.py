@@ -65,7 +65,8 @@ def build_swap_nfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Nf
     alpha = tuple(sorted(pattern_alphabet(pattern, alphabet), key=repr))
 
     graph = build_pgraph(pattern)
-    ids = {v: i + 1 for i, v in enumerate(graph.vertices())}
+    labels = graph.labels
+    ids = {v: i + 1 for i, v in enumerate(labels)}
     transitions: dict[tuple[int, object], set[int]] = {}
 
     def add(src: int, symbol, dst: int) -> None:
@@ -73,12 +74,13 @@ def build_swap_nfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Nf
 
     for x in alpha:
         add(0, x, 0)
-    for v in graph.column(1):
-        add(0, graph.label(*v), ids[v])
-    for u, v in graph.edges():
-        add(ids[u], graph.label(*v), ids[v])
+    for v in graph.columns[1]:
+        add(0, labels[v], ids[v])
+    for u, heads in graph.successors.items():
+        for v in heads:
+            add(ids[u], labels[v], ids[v])
 
-    accepting = frozenset(ids[v] for v in graph.accepting())
+    accepting = frozenset(ids[v] for v in graph.columns[len(pattern)])
     return Nfa(
         n_states=len(ids) + 1,
         start=0,

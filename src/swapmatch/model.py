@@ -5,6 +5,8 @@ P_c, row -1 column c carries P_{c-1} (the symbol swapped up into c), and
 row +1 column c carries P_{c+1} (the symbol swapped down into c). The two
 corner vertices that would read outside the pattern are removed. Every
 column-1 to column-p path spells a swapped version of P, and vice versa.
+``build_pgraph`` stores the graph as three tables (labels, columns and
+successors), and every reader walks those tables directly.
 
 The Basic Matching Algorithm (BMA) decides a swap match at one text
 position by sweeping a set of live vertices across the columns:
@@ -16,8 +18,6 @@ production matcher.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
 
 from .report import MatchReport, check_search_inputs
 
@@ -32,109 +32,50 @@ _ROWS = (-1, 0, 1)
 
 @dataclass(frozen=True)
 class PGraph:
-    """The 3 x p swap graph of a pattern, stored as labels plus the edge rule.
+    """The 3 x p swap graph of a pattern, as three tables.
 
-    Edges are fixed by column index (rows -1 and 0 feed rows 0 and +1 of
-    the next column; row +1 feeds row -1). The vertex labels, the columns
-    and the successor lists are computed from that rule once per graph,
-    on first use, and every query below reads those tables.
+    ``labels`` maps each vertex to its symbol, column by column, rows -1,
+    0, +1 within a column. ``columns[c]`` holds the vertices of column c;
+    index 0 and p + 1 stay empty. ``successors`` maps each vertex to the
+    heads of its edges: rows -1 and 0 feed rows 0 and +1 of the next
+    column, row +1 feeds row -1.
     """
 
     pattern: str | bytes
-
-    @property
-    def p(self) -> int:
-        return len(self.pattern)
-
-    @cached_property
-    def _labels(self) -> dict[Vertex, object]:
-        # vertex (r, c) reads pattern position r + c; the corners (-1, 1)
-        # and (1, p) would read positions 0 and p + 1 and are left out
-        pattern, p = self.pattern, len(self.pattern)
-        return {
-            (r, c): pattern[r + c - 1]
-            for c in range(1, p + 1)
-            for r in _ROWS
-            if 1 <= r + c <= p
-        }
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[Vertex, ...], ...]:
-        # index c holds column c; index 0 and p + 1 stay empty
-        columns: list[list[Vertex]] = [[] for _ in range(self.p + 2)]
-        for v in self._labels:
-            columns[v[1]].append(v)
-        return tuple(map(tuple, columns))
-
-    @cached_property
-    def _successors(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        columns = self._columns
-        return {
-            (r, c): tuple(w for w in columns[c + 1] if (w[0] == -1) == (r == 1))
-            for r, c in self._labels
-        }
-
-    def label(self, r: int, c: int):
-        """Symbol at vertex (r, c): pattern position r + c."""
-        try:
-            return self._labels[(r, c)]
-        except KeyError:
-            raise KeyError(f"no vertex ({r}, {c})") from None
-
-    def vertices(self) -> Iterator[Vertex]:
-        """Every vertex, column by column, rows -1, 0, +1 within a column."""
-        return iter(self._labels)
-
-    def column(self, c: int) -> tuple[Vertex, ...]:
-        return self._columns[c] if 1 <= c <= self.p else ()
-
-    def successors(self, r: int, c: int) -> tuple[Vertex, ...]:
-        """Heads of the edges out of (r, c); () for a position that is no vertex."""
-        return self._successors.get((r, c), ())
-
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        for u in self.vertices():
-            for v in self.successors(*u):
-                yield (u, v)
+    labels: dict[Vertex, object]
+    columns: tuple[tuple[Vertex, ...], ...]
+    successors: dict[Vertex, tuple[Vertex, ...]]
 
     @property
     def vertex_count(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self._successors.values()))
-
-    def accepting(self) -> tuple[Vertex, ...]:
-        """Column-p vertices; a signal surviving there completes a match."""
-        return self.column(self.p)
-
-    def path_strings(self) -> frozenset:
-        """Labels of every column-1 to column-p path (the swapped versions)."""
-        out = set()
-
-        def walk(v: Vertex, acc: list) -> None:
-            acc.append(self.label(*v))
-            if v[1] == self.p:
-                if isinstance(self.pattern, bytes):
-                    out.add(bytes(acc))
-                else:
-                    out.add("".join(acc))
-            else:
-                for nxt in self.successors(*v):
-                    walk(nxt, acc)
-            acc.pop()
-
-        for start in self.column(1):
-            walk(start, [])
-        return frozenset(out)
+        return sum(map(len, self.successors.values()))
 
 
 def build_pgraph(pattern: str | bytes) -> PGraph:
     """Swap graph of the pattern; rejects empty patterns."""
-    if len(pattern) == 0:
+    p = len(pattern)
+    if p == 0:
         raise ValueError("pattern must be non-empty")
-    return PGraph(pattern)
+    # vertex (r, c) reads pattern position r + c; the corners (-1, 1)
+    # and (1, p) would read positions 0 and p + 1 and are left out
+    labels = {
+        (r, c): pattern[r + c - 1]
+        for c in range(1, p + 1)
+        for r in _ROWS
+        if 1 <= r + c <= p
+    }
+    columns: list[list[Vertex]] = [[] for _ in range(p + 2)]
+    for v in labels:
+        columns[v[1]].append(v)
+    successors = {
+        (r, c): tuple(w for w in columns[c + 1] if (w[0] == -1) == (r == 1))
+        for r, c in labels
+    }
+    return PGraph(pattern, labels, tuple(map(tuple, columns)), successors)
 
 
 def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:
@@ -142,16 +83,15 @@ def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:
 
     Runs the signal sweep literally: filter by symbol, stop when no signal
     survives, accept only when a column-p vertex holds a signal, then
-    propagate along the edges. Labels, columns and successors are read
-    from the graph's tables, which are built once per graph.
+    propagate along the edges, reading the graph's three tables.
     """
-    p = graph.p
+    p = len(graph.pattern)
     t = len(text)
     if not 1 <= k <= t - p + 1:
         raise ValueError(f"position {k} outside 1..{t - p + 1}")
-    labels, successors = graph._labels, graph._successors
-    accepting = graph._columns[p]
-    signal: SignalState = set(graph._columns[1])
+    labels, successors = graph.labels, graph.successors
+    accepting = graph.columns[p]
+    signal: SignalState = set(graph.columns[1])
     for i in range(p):
         x = text[k - 1 + i]
         signal = {v for v in signal if labels[v] == x}

@@ -145,42 +145,34 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
     check = 1 << (p - 2)
     positions: list[int] = []
 
+    # A set check bit at R^j claims p-1 matched symbols ending at j plus
+    # the lookahead, i.e. a window starting at j-p+2. Only j <= t-1 has a
+    # lookahead symbol, so the rounds stop at R^{t-1}.
     r = r1 = 1 & dt.get(text[0], 0) if t else 0
-
-    def report(j: int, vec: int) -> None:
-        # A set check bit at R^j claims p-1 matched symbols ending at j
-        # plus the lookahead, i.e. a window starting at j-p+2.
-        if vec & check and p - 1 <= j <= t - 1:
-            positions.append(j - p + 2)
-
-    report(1, r)
-    for j0 in range(1, t):
-        cur = text[j0]
-        if j0 + 1 < t:
-            prev, nxt = text[j0 - 1], text[j0 + 1]
-            key = (prev, cur, nxt)
-            lso = (r << 1) | 1
-            dcur = dt.get(cur, 0)
-            dnext_shifted = dt.get(nxt, 0) >> 1
-            pmask = pm3.get(key, 1)
-            r = lso & dcur & dnext_shifted & pmask
-            if steps is not None:
-                steps.append(
-                    Smalgo1Step(
-                        j=j0 + 1,
-                        lso_r=BitVector(p, lso),
-                        dtilde_cur=BitVector(p, dcur),
-                        rshift_dtilde_next=BitVector(p, dnext_shifted),
-                        pmask=BitVector(p, pmask),
-                        pmask_key=key,
-                        r_next=BitVector(p, r),
-                    )
+    if r & check and p - 1 <= 1 <= t - 1:
+        positions.append(3 - p)
+    for j0 in range(1, t - 1):
+        cur, nxt = text[j0], text[j0 + 1]
+        key = (text[j0 - 1], cur, nxt)
+        lso = (r << 1) | 1
+        dcur = dt.get(cur, 0)
+        dnext_shifted = dt.get(nxt, 0) >> 1
+        pmask = pm3.get(key, 1)
+        r = lso & dcur & dnext_shifted & pmask
+        if steps is not None:
+            steps.append(
+                Smalgo1Step(
+                    j=j0 + 1,
+                    lso_r=BitVector(p, lso),
+                    dtilde_cur=BitVector(p, dcur),
+                    rshift_dtilde_next=BitVector(p, dnext_shifted),
+                    pmask=BitVector(p, pmask),
+                    pmask_key=key,
+                    r_next=BitVector(p, r),
                 )
-        else:
-            # Final iteration: the lookahead symbol is past the text, so the
-            # rshift and pmask terms drop (an all-ones sentinel).
-            r = ((r << 1) | 1) & dt.get(cur, 0)
-        report(j0 + 1, r)
+            )
+        if r & check and j0 + 1 >= p - 1:
+            positions.append(j0 - p + 3)
     return r1, MatchReport("smalgo1", tuple(positions), p, t)
 
 
@@ -303,8 +295,10 @@ def compare_with_oracle(
 
     The oracle runs once per pair and each algorithm is compared with that
     one result, so the pairs are consumed in a single pass and may come
-    from a lazy generator. Discrepancies keep input order, then ascending
-    positions; every algorithm has one result, keyed by its name.
+    from a lazy generator. Discrepancies keep input order; within a pair
+    the false positives come first, by ascending position, then the false
+    negatives, by ascending position. Every algorithm has one result,
+    keyed by its name.
     """
     names = list(dict.fromkeys(algorithms))
     for name in names:
@@ -342,7 +336,8 @@ def find_discrepancies(
     """Scan pattern x text for positions where ``algorithm`` contradicts the oracle.
 
     ``texts`` is materialized once and replayed per pattern. Output order
-    is deterministic: input order, then ascending positions.
+    is that of ``compare_with_oracle``: input order, then within a pair
+    the false positives ascending and then the false negatives ascending.
     """
     text_list = list(texts)
     pairs = ((pattern, text) for pattern in patterns for text in text_list)

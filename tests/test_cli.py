@@ -529,6 +529,25 @@ def test_bench_rejects_low_reps():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--algos", "gsm,gsm"], "error: algos repeat 'gsm'\n"),
+        (["--algos", ","], "error: algos must name at least one algorithm\n"),
+        (["--p-list", "8,8"], "error: p-list repeats 8\n"),
+        (["--p-list", "-2"], "error: p must be >= 1\n"),
+        (["--t", "0"], "error: t must be >= 1\n"),
+        (["--t", "-5"], "error: t must be >= 1\n"),
+    ],
+    ids=["repeat-algo", "no-algo", "repeat-p", "negative-p", "zero-t", "negative-t"],
+)
+def test_bench_bad_arguments_exit_two(argv, err, capsys):
+    assert main(["bench", "--t", "100", "--reps", "3", "--p-list", "8", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_main_callable_in_process(capsys):
     code = main(["search", "--pattern", "ab", "--text", "ba"])
     assert code == 0

@@ -1,5 +1,7 @@
 """P-graph / T-graph structure and the BMA reference matcher."""
 
+from itertools import product
+
 import pytest
 
 from swapmatch.model import build_pgraph, bma_at, bma_search
@@ -11,19 +13,19 @@ def test_pgraph_figure_example():
     assert g.vertex_count == 19
     assert g.edge_count == 26
     # row -1 holds the symbol swapped up from the left: -, a, b, c, b, b, a
-    assert [g.label(-1, c) for c in range(2, 8)] == list("abcbba")
-    assert [g.label(0, c) for c in range(1, 8)] == list("abcbbac")
-    assert [g.label(1, c) for c in range(1, 7)] == list("bcbbac")
-    assert (-1, 1) not in g.vertices()
-    assert (1, 7) not in g.vertices()
+    assert [g.labels[(-1, c)] for c in range(2, 8)] == list("abcbba")
+    assert [g.labels[(0, c)] for c in range(1, 8)] == list("abcbbac")
+    assert [g.labels[(1, c)] for c in range(1, 7)] == list("bcbbac")
+    assert (-1, 1) not in g.labels
+    assert (1, 7) not in g.labels
 
 
 def test_pgraph_single_symbol():
     g = build_pgraph("a")
     assert g.vertex_count == 1
     assert g.edge_count == 0
-    assert list(g.vertices()) == [(0, 1)]
-    assert g.accepting() == ((0, 1),)
+    assert list(g.labels) == [(0, 1)]
+    assert g.columns[1] == ((0, 1),)
 
 
 def test_pgraph_p4_counts():
@@ -57,9 +59,14 @@ def test_pgraph_rejects_empty():
 
 
 def test_pgraph_path_strings_match_oracle_enumeration():
+    # the lemma: the column-1 to column-p paths spell exactly the swapped
+    # versions, so BMA accepts a length-p string iff the oracle lists it
     for pattern in ["a", "ab", "aa", "abab", "acbab", "abcbbac", "aabbaabb"]:
         g = build_pgraph(pattern)
-        assert g.path_strings() == enumerate_swapped_versions(pattern)
+        swapped = enumerate_swapped_versions(pattern)
+        symbols = sorted(set(pattern))
+        for w in map("".join, product(symbols, repeat=len(pattern))):
+            assert bma_at(g, w, 1) == (w in swapped), (pattern, w)
 
 
 def test_bma_at_figure_example():

@@ -81,20 +81,23 @@ def _graph_walk_tables(pattern):
     p = len(pattern)
     graph = build_pgraph(pattern)
     dtilde = {}
+    labels, successors = graph.labels, graph.successors
     for c in range(1, p + 1):
-        for v in graph.column(c):
-            x = graph.label(*v)
+        for v in graph.columns[c]:
+            x = labels[v]
             dtilde[x] = dtilde.get(x, 0) | (1 << (c - 1))
     pmask3, pmask2 = {}, {}
     lands = {-1: {}, 0: {}, 1: {}}
-    for (r1, c1), (r2, c2) in graph.edges():
-        x, y = graph.label(r1, c1), graph.label(r2, c2)
-        bit = 1 << (c2 - 1)
-        pmask2[(x, y)] = pmask2.get((x, y), 0) | bit
-        lands[r2][(x, y)] = lands[r2].get((x, y), 0) | bit
-        for r3, c3 in graph.successors(r2, c2):
-            key = (x, y, graph.label(r3, c3))
-            pmask3[key] = pmask3.get(key, 0) | bit
+    for u, heads in successors.items():
+        for v in heads:
+            x, y = labels[u], labels[v]
+            r2, c2 = v
+            bit = 1 << (c2 - 1)
+            pmask2[(x, y)] = pmask2.get((x, y), 0) | bit
+            lands[r2][(x, y)] = lands[r2].get((x, y), 0) | bit
+            for w in successors[v]:
+                key = (x, y, labels[w])
+                pmask3[key] = pmask3.get(key, 0) | bit
     return {
         "p": p,
         "dtilde": dtilde,
