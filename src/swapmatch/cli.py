@@ -26,12 +26,12 @@ from typing import Collection, Iterator, Sequence
 
 from .dfa import (
     DEFAULT_STATE_CAP,
-    build_swap_nfa,
     determinize,
     growth_csv,
     growth_table,
     minimize,
 )
+from .model import build_pgraph
 from .oracle import oracle_search
 from .report import MatchReport
 from .smalgo import (
@@ -110,6 +110,8 @@ def run_bench(
     for i, p in enumerate(p_list):
         if p < 1:
             raise ValueError("p must be >= 1")
+        if p > t:
+            raise ValueError(f"p={p} exceeds t={t}")
         if p in p_list[:i]:
             raise ValueError(f"p-list repeats {p}")
     records = []
@@ -437,8 +439,7 @@ def cmd_dfa_growth(args) -> int:
 def cmd_dfa_states(args) -> int:
     try:
         pattern = args.pattern
-        nfa = build_swap_nfa(pattern, args.alphabet or None)
-        dfa = determinize(nfa, args.state_cap)
+        dfa = determinize(pattern, args.alphabet or None, args.state_cap)
         mdfa = minimize(dfa)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -447,7 +448,8 @@ def cmd_dfa_states(args) -> int:
 
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["pattern", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states"])
-    out.writerow([pattern, len(pattern), nfa.n_states, dfa.n_states, mdfa.n_states])
+    nfa_states = build_pgraph(pattern).vertex_count + 1
+    out.writerow([pattern, len(pattern), nfa_states, dfa.n_states, mdfa.n_states])
     return 0
 
 

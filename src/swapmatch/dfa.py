@@ -2,19 +2,23 @@
 
 The language of a pattern P is "anything, then a swapped version of P".
 Its natural NFA is small: a self-looping start state feeding the pattern
-graph. Determinizing and minimizing it, however, cannot stay small: for
-the family ``ac(abc)^k`` the minimal DFA needs at least 2^k states, and
-this module both builds the automata (subset construction, then Moore
-partition refinement to a canonical minimal table) and verifies the bound
-empirically, including the pairwise distinguishing-extension argument
-behind it.
+graph (``nfa_states`` counts its vertices plus that start state). Its DFA
+is the set of GSM signal states (ru, rm, rd) that some text reaches:
+subset construction over the NFA finds exactly these states, so this
+module builds the DFA by a breadth-first walk over signal triples. It
+cannot stay small: for the family ``ac(abc)^k`` the minimal DFA needs at
+least 2^k states, so a text can drive GSM into at least 2^k distinct
+signal states. The module builds the automata (signal-state DFA, then
+Moore partition refinement to a canonical minimal table) and verifies
+the bound empirically, including the pairwise distinguishing-extension
+argument behind it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import build_pgraph
 from .oracle import oracle_match_at
@@ -27,18 +31,7 @@ MAX_FAMILY_K = 10
 
 
 class StateLimitExceeded(RuntimeError):
-    """Subset construction hit the configured state cap."""
-
-
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton; missing (state, symbol) entries mean no move."""
-
-    n_states: int
-    start: int
-    alphabet: tuple
-    transitions: Mapping[tuple[int, object], frozenset[int]]
-    accepting: frozenset[int]
+    """Determinization hit the configured state cap."""
 
 
 @dataclass(frozen=True)
@@ -55,64 +48,47 @@ class Dfa:
         return len(self.transitions)
 
 
-def build_swap_nfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Nfa:
-    """NFA accepting every string whose length-p suffix is a swapped version of the pattern.
+def determinize(
+    pattern: str | bytes,
+    alphabet: Iterable | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> Dfa:
+    """The DFA of "anything, then a swapped version of the pattern", as the
+    GSM signal states that some text reaches.
 
-    State 0 self-loops on the whole alphabet and guesses where the suffix
-    starts; the remaining states are the pattern-graph vertices, entered
-    on their labels.
+    A state is the int triple (ru, rm, rd) of GSM row signals, bit i for
+    column i + 1. It is the subset construction's state {start} plus the
+    pattern-graph vertices that hold a signal, bit for bit: the NFA's
+    self-looping start state is the ``| 1`` that injects a fresh signal at
+    column 1 on every symbol. So a breadth-first walk from (0, 0, 0),
+    stepping with the symbols in sorted-``repr`` order, finds the same
+    states in the same order as subset construction over that NFA, and
+    gives the same table, numbering and accepting set. A state accepts
+    when row -1 or row 0 holds a signal at column p.
+
+    The alphabet goes through ``pattern_alphabet``; a symbol the pattern
+    lacks filters every signal out and leads back to the start state.
+    Raises ``StateLimitExceeded`` when more than ``state_cap`` states are
+    reached.
     """
     alpha = tuple(sorted(pattern_alphabet(pattern, alphabet), key=repr))
-
-    graph = build_pgraph(pattern)
-    labels = graph.labels
-    ids = {v: i + 1 for i, v in enumerate(labels)}
-    transitions: dict[tuple[int, object], set[int]] = {}
-
-    def add(src: int, symbol, dst: int) -> None:
-        transitions.setdefault((src, symbol), set()).add(dst)
-
+    # per symbol, the filters of rows -1, 0 and +1 (gsm_step's d << 1, d
+    # and d >> 1); row -1 has no column-1 vertex, so its filter's bit 0 is
+    # clear and its propagate needs no | 1
+    filters = []
     for x in alpha:
-        add(0, x, 0)
-    for v in graph.columns[1]:
-        add(0, labels[v], ids[v])
-    for u, heads in graph.successors.items():
-        for v in heads:
-            add(ids[u], labels[v], ids[v])
-
-    accepting = frozenset(ids[v] for v in graph.columns[len(pattern)])
-    return Nfa(
-        n_states=len(ids) + 1,
-        start=0,
-        alphabet=alpha,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        accepting=accepting,
-    )
-
-
-def nfa_accepts(nfa: Nfa, s: str | bytes | Iterable) -> bool:
-    """Subset simulation of the NFA on one input string."""
-    moves = nfa.transitions
-    current = {nfa.start}
-    for x in s:
-        current = set().union(*(moves.get((q, x), ()) for q in current))
-    return bool(current & nfa.accepting)
-
-
-def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Subset construction over reachable subsets only."""
-    moves = nfa.transitions
-    start = frozenset({nfa.start})
-    ids: dict[frozenset[int], int] = {start: 0}
+        d = sum(1 << i for i, y in enumerate(pattern) if y == x)
+        filters.append((d << 1, d, d >> 1))
+    start = (0, 0, 0)
+    ids = {start: 0}
     order = [start]
     table: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        i += 1
+    for ru, rm, rd in order:
+        ru_prop = rd << 1
+        rm_prop = (rm | ru) << 1 | 1  # also rd's propagate
         row = []
-        for x in nfa.alphabet:
-            target = frozenset().union(*(moves.get((q, x), ()) for q in subset))
+        for f_ru, f_rm, f_rd in filters:
+            target = (ru_prop & f_ru, rm_prop & f_rm, rm_prop & f_rd)
             tid = ids.get(target)
             if tid is None:
                 tid = len(order)
@@ -124,10 +100,11 @@ def determinize(nfa: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
                 order.append(target)
             row.append(tid)
         table.append(tuple(row))
+    top = 1 << (len(pattern) - 1)
     accepting = frozenset(
-        i for i, subset in enumerate(order) if subset & nfa.accepting
+        i for i, (ru, rm, _) in enumerate(order) if (ru | rm) & top
     )
-    return Dfa(alphabet=nfa.alphabet, transitions=tuple(table), accepting=accepting)
+    return Dfa(alphabet=alpha, transitions=tuple(table), accepting=accepting)
 
 
 def dfa_accepts(dfa: Dfa, s: str | bytes | Iterable) -> bool:
@@ -278,8 +255,7 @@ def verify_lower_bound(
 
 def _lower_bound(k: int, pair_samples: int, seed: int, state_cap: int) -> LowerBoundReport:
     pattern = pattern_family(k)
-    nfa = build_swap_nfa(pattern, "abc")
-    dfa = determinize(nfa, state_cap)
+    dfa = determinize(pattern, "abc", state_cap)
     mdfa = minimize(dfa)
     bound = 1 << k
 
@@ -299,7 +275,7 @@ def _lower_bound(k: int, pair_samples: int, seed: int, state_cap: int) -> LowerB
     return LowerBoundReport(
         k=k,
         pattern=pattern,
-        nfa_states=nfa.n_states,
+        nfa_states=build_pgraph(pattern).vertex_count + 1,
         dfa_states=dfa.n_states,
         min_dfa_states=mdfa.n_states,
         bound=bound,

@@ -1,0 +1,115 @@
+"""Reference automata for the swap language: the pattern-graph NFA and
+generic subset construction.
+
+``swapmatch.dfa.determinize`` builds the DFA as the reachable GSM signal
+states. The tests check it against the textbook route kept here: build
+the NFA whose start state self-loops on the alphabet and feeds the
+pattern graph, then determinize it over frozensets of NFA states. The
+conformance ``dfa`` engine is built here too, so it does not rest on GSM.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping
+
+from swapmatch.dfa import Dfa
+from swapmatch.model import build_pgraph
+from swapmatch.report import pattern_alphabet
+
+
+@dataclass(frozen=True)
+class Nfa:
+    """Nondeterministic automaton; missing (state, symbol) entries mean no move."""
+
+    n_states: int
+    start: int
+    alphabet: tuple
+    transitions: Mapping[tuple[int, object], frozenset[int]]
+    accepting: frozenset[int]
+
+
+def build_swap_nfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Nfa:
+    """NFA accepting every string whose length-p suffix is a swapped version of the pattern.
+
+    State 0 self-loops on the whole alphabet and guesses where the suffix
+    starts; the remaining states are the pattern-graph vertices, entered
+    on their labels.
+    """
+    alpha = tuple(sorted(pattern_alphabet(pattern, alphabet), key=repr))
+
+    graph = build_pgraph(pattern)
+    labels = graph.labels
+    ids = {v: i + 1 for i, v in enumerate(labels)}
+    transitions: dict[tuple[int, object], set[int]] = {}
+
+    def add(src: int, symbol, dst: int) -> None:
+        transitions.setdefault((src, symbol), set()).add(dst)
+
+    for x in alpha:
+        add(0, x, 0)
+    for v in graph.columns[1]:
+        add(0, labels[v], ids[v])
+    for u, heads in graph.successors.items():
+        for v in heads:
+            add(ids[u], labels[v], ids[v])
+
+    accepting = frozenset(ids[v] for v in graph.columns[len(pattern)])
+    return Nfa(
+        n_states=len(ids) + 1,
+        start=0,
+        alphabet=alpha,
+        transitions={k: frozenset(v) for k, v in transitions.items()},
+        accepting=accepting,
+    )
+
+
+def nfa_accepts(nfa: Nfa, s: str | bytes | Iterable) -> bool:
+    """Subset simulation of the NFA on one input string."""
+    moves = nfa.transitions
+    current = {nfa.start}
+    for x in s:
+        current = set().union(*(moves.get((q, x), ()) for q in current))
+    return bool(current & nfa.accepting)
+
+
+def reference_determinize(nfa: Nfa) -> Dfa:
+    """Subset construction over reachable subsets only, numbered in BFS order."""
+    moves = nfa.transitions
+    start = frozenset({nfa.start})
+    ids: dict[frozenset[int], int] = {start: 0}
+    order = [start]
+    table: list[tuple[int, ...]] = []
+    i = 0
+    while i < len(order):
+        subset = order[i]
+        i += 1
+        row = []
+        for x in nfa.alphabet:
+            target = frozenset().union(*(moves.get((q, x), ()) for q in subset))
+            tid = ids.get(target)
+            if tid is None:
+                tid = ids[target] = len(order)
+                order.append(target)
+            row.append(tid)
+        table.append(tuple(row))
+    accepting = frozenset(
+        i for i, subset in enumerate(order) if subset & nfa.accepting
+    )
+    return Dfa(alphabet=nfa.alphabet, transitions=tuple(table), accepting=accepting)
+
+
+def dfa_to_nfa(dfa: Dfa) -> Nfa:
+    """View a DFA as an NFA (singleton move sets)."""
+    transitions = {
+        (s, x): frozenset({dfa.transitions[s][a]})
+        for s in range(dfa.n_states)
+        for a, x in enumerate(dfa.alphabet)
+    }
+    return Nfa(
+        n_states=dfa.n_states,
+        start=dfa.start,
+        alphabet=dfa.alphabet,
+        transitions=transitions,
+        accepting=dfa.accepting,
+    )

@@ -538,8 +538,12 @@ def test_bench_rejects_low_reps():
         (["--p-list", "-2"], "error: p must be >= 1\n"),
         (["--t", "0"], "error: t must be >= 1\n"),
         (["--t", "-5"], "error: t must be >= 1\n"),
+        (["--p-list", "8,101"], "error: p=101 exceeds t=100\n"),
     ],
-    ids=["repeat-algo", "no-algo", "repeat-p", "negative-p", "zero-t", "negative-t"],
+    ids=[
+        "repeat-algo", "no-algo", "repeat-p", "negative-p", "zero-t", "negative-t",
+        "p-over-t",
+    ],
 )
 def test_bench_bad_arguments_exit_two(argv, err, capsys):
     assert main(["bench", "--t", "100", "--reps", "3", "--p-list", "8", *argv]) == 2

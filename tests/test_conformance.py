@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from swapmatch.dfa import build_swap_nfa, determinize, dfa_scan_ends, minimize
+from swapmatch.dfa import dfa_scan_ends, minimize
 from swapmatch.gsm import (
     gsm_accepts,
     gsm_precompute,
@@ -24,6 +24,8 @@ from swapmatch.gsm import (
 from swapmatch.model import bma_search
 from swapmatch.oracle import oracle_search
 from swapmatch.smalgo import SEARCHERS, exhaustive_strings
+
+from nfa_reference import build_swap_nfa, reference_determinize
 
 # symbols any instance below may use; the DFA reads only its alphabet
 ALPHABET = "abcd"
@@ -50,7 +52,7 @@ def _stream_random_cuts(pattern, text):
 
 @functools.cache
 def _min_dfa(pattern):
-    return minimize(determinize(build_swap_nfa(pattern, ALPHABET)))
+    return minimize(reference_determinize(build_swap_nfa(pattern, ALPHABET)))
 
 
 def _dfa_starts(pattern, text):

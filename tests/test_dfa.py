@@ -8,16 +8,13 @@ import pytest
 from swapmatch.cli import main
 from swapmatch.dfa import (
     Dfa,
-    Nfa,
     StateLimitExceeded,
-    build_swap_nfa,
     determinize,
     dfa_accepts,
     dfa_scan_ends,
     growth_csv,
     growth_table,
     minimize,
-    nfa_accepts,
     pattern_family,
     distinguishing_text,
     verify_lower_bound,
@@ -25,26 +22,18 @@ from swapmatch.dfa import (
 from swapmatch.gsm import gsm_search
 from swapmatch.oracle import oracle_match_at
 
+from nfa_reference import (
+    Nfa,
+    build_swap_nfa,
+    dfa_to_nfa,
+    nfa_accepts,
+    reference_determinize,
+)
+
 DATA = Path(__file__).parent / "data"
 
 # frozen minimal-DFA state counts for the blowup family, k = 1..6
 FAMILY_MIN_STATES = {1: 21, 2: 56, 3: 127, 4: 272, 5: 565, 6: 1154}
-
-
-def dfa_to_nfa(dfa: Dfa) -> Nfa:
-    """View a DFA as an NFA (singleton move sets)."""
-    transitions = {
-        (s, x): frozenset({dfa.transitions[s][a]})
-        for s in range(dfa.n_states)
-        for a, x in enumerate(dfa.alphabet)
-    }
-    return Nfa(
-        n_states=dfa.n_states,
-        start=dfa.start,
-        alphabet=dfa.alphabet,
-        transitions=transitions,
-        accepting=dfa.accepting,
-    )
 
 
 def hopcroft_minimize(dfa: Dfa) -> Dfa:
@@ -202,7 +191,7 @@ def test_nfa_acceptance_equals_oracle_suffix_check():
 def test_determinize_preserves_language():
     rng = random.Random(77)
     nfa = build_swap_nfa("acab", "abc")
-    dfa = determinize(nfa)
+    dfa = determinize("acab", "abc")
     for _ in range(10_000):
         s = "".join(rng.choice("abc") for _ in range(rng.randint(0, 10)))
         assert dfa_accepts(dfa, s) == nfa_accepts(nfa, s), s
@@ -210,8 +199,6 @@ def test_determinize_preserves_language():
 
 def test_determinize_single_path_nfa():
     # a linear NFA: determinizing adds at most a dead state
-    from swapmatch.dfa import Nfa
-
     nfa = Nfa(
         n_states=3,
         start=0,
@@ -219,27 +206,61 @@ def test_determinize_single_path_nfa():
         transitions={(0, "a"): frozenset({1}), (1, "b"): frozenset({2})},
         accepting=frozenset({2}),
     )
-    dfa = determinize(nfa)
+    dfa = reference_determinize(nfa)
     assert dfa.n_states <= nfa.n_states + 1
     assert dfa_accepts(dfa, "ab")
     assert not dfa_accepts(dfa, "ba")
 
 
 def test_determinize_idempotent_up_to_minimize():
-    nfa = build_swap_nfa("acbab", "abc")
-    once = determinize(nfa)
-    twice = determinize(dfa_to_nfa(once))
+    once = determinize("acbab", "abc")
+    twice = reference_determinize(dfa_to_nfa(once))
     assert minimize(once).n_states == minimize(twice).n_states
 
 
 def test_determinize_state_cap():
-    nfa = build_swap_nfa(pattern_family(4), "abc")
-    with pytest.raises(StateLimitExceeded):
-        determinize(nfa, state_cap=10)
+    with pytest.raises(StateLimitExceeded, match="^subset construction exceeded 10 states$"):
+        determinize(pattern_family(4), "abc", state_cap=10)
+
+
+def assert_equals_subset_construction(pattern, alphabet=None):
+    want = reference_determinize(build_swap_nfa(pattern, alphabet))
+    assert determinize(pattern, alphabet) == want, (pattern, alphabet)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_determinize_equals_subset_construction_on_family(k):
+    assert_equals_subset_construction(pattern_family(k), "abc")
+
+
+def test_determinize_equals_subset_construction_on_random_patterns():
+    rng = random.Random(2016)
+    for i in range(500):
+        symbols = "abcd"[: rng.randint(1, 4)]
+        pattern = "".join(rng.choice(symbols) for _ in range(rng.randint(1, 12)))
+        assert_equals_subset_construction(pattern, "abcd" if i % 2 else None)
+
+
+@pytest.mark.parametrize(
+    "pattern, alphabet",
+    [
+        (b"acabc", None),
+        (b"dad", None),  # repr order puts 100 before 97
+        (b"\x00\x01\x00\x01", b"\x00\x01\xff"),
+        (b"ab\xffab", None),
+    ],
+)
+def test_determinize_equals_subset_construction_on_bytes(pattern, alphabet):
+    assert_equals_subset_construction(pattern, alphabet)
+
+
+def test_determinize_equals_subset_construction_on_wider_alphabet():
+    assert_equals_subset_construction("ab", "abx")
+    assert determinize("ab", "abx").alphabet == ("a", "b", "x")
 
 
 def test_minimize_keeps_minimal_dfa():
-    dfa = minimize(determinize(build_swap_nfa("ab")))
+    dfa = minimize(determinize("ab"))
     again = minimize(dfa)
     assert again.n_states == dfa.n_states
 
@@ -266,14 +287,14 @@ def test_minimize_drops_unreachable_states():
 def test_minimize_is_canonical_across_constructions():
     # same language, two different NFAs: via the swap NFA and via a
     # re-determinization round trip
-    a = minimize(determinize(build_swap_nfa("acabc", "abc")))
-    b = minimize(determinize(dfa_to_nfa(determinize(build_swap_nfa("acabc", "abc")))))
+    a = minimize(determinize("acabc", "abc"))
+    b = minimize(reference_determinize(dfa_to_nfa(determinize("acabc", "abc"))))
     assert a.n_states == b.n_states
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_minimize_equals_hopcroft_on_family(k):
-    dfa = determinize(build_swap_nfa(pattern_family(k), "abc"))
+    dfa = reference_determinize(build_swap_nfa(pattern_family(k), "abc"))
     assert minimize(dfa) == hopcroft_minimize(dfa)
 
 
@@ -312,7 +333,7 @@ def test_minimize_equals_hopcroft_on_swap_patterns():
     rng = random.Random(14)
     for p in list(range(1, 15)) * 3:
         pattern = "".join(rng.choice("abcd") for _ in range(p))
-        dfa = determinize(build_swap_nfa(pattern, "abcd"))
+        dfa = reference_determinize(build_swap_nfa(pattern, "abcd"))
         assert minimize(dfa) == hopcroft_minimize(dfa), pattern
 
 
@@ -351,8 +372,7 @@ def test_dfa_growth_k8_matches_golden(capsys):
 def test_minimized_language_unchanged():
     rng = random.Random(5)
     nfa = build_swap_nfa("abcab", "abc")
-    dfa = determinize(nfa)
-    mdfa = minimize(dfa)
+    mdfa = minimize(determinize("abcab", "abc"))
     for _ in range(10_000):
         s = "".join(rng.choice("abc") for _ in range(rng.randint(0, 12)))
         assert dfa_accepts(mdfa, s) == nfa_accepts(nfa, s), s
@@ -436,7 +456,7 @@ def test_growth_csv_shape():
 def test_dfa_scan_ends_cross_checks_gsm():
     rng = random.Random(11)
     pattern = "acab"
-    mdfa = minimize(determinize(build_swap_nfa(pattern, "abc")))
+    mdfa = minimize(determinize(pattern, "abc"))
     for _ in range(50):
         text = "".join(rng.choice("abc") for _ in range(rng.randint(0, 60)))
         ends = dfa_scan_ends(mdfa, text)
