@@ -467,6 +467,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _at_least_one(value: str) -> int:
+    """argparse type for a count that must be 1 or more (``--state-cap``)."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapmatch",
@@ -507,13 +518,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_growth = sub.add_parser("dfa-growth", help="DFA state growth for the blowup family")
     p_growth.add_argument("--k-max", type=int, default=6)
-    p_growth.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p_growth.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
     p_growth.set_defaults(fn=cmd_dfa_growth)
 
     p_states = sub.add_parser("dfa-states", help="automaton sizes for one pattern")
     p_states.add_argument("--pattern", required=True)
     p_states.add_argument("--alphabet", default="")
-    p_states.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p_states.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
     p_states.set_defaults(fn=cmd_dfa_states)
 
     p_bench = sub.add_parser("bench", help="seeded throughput benchmark (CSV)")

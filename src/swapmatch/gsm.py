@@ -13,12 +13,16 @@ values, kept as the reference. ``gsm_search``/``gsm_search_stream`` run
 the same recurrence transposed, for speed: bit-parallel over blocks of
 text positions, one pattern column at a time, so Python pays per column
 and per block instead of per symbol, and a block stops as soon as every
-window in it has died. The two are equivalence-tested against each other
-and against the brute-force oracle.
+window in it has died. A block's occurrence ints take one translate per
+pattern symbol, or per four symbols packed in hex nibbles when the pattern
+has more than two, and a block still alive after a few columns is cut to
+the span its signals can still reach. The two are equivalence-tested
+against each other and against the brute-force oracle.
 """
 
 from __future__ import annotations
 
+from binascii import a2b_hex
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
@@ -97,9 +101,15 @@ def gsm_accepts(state: GsmState) -> bool:
 # text symbols per block; one block is one big int per live signal
 BLOCK = 1 << 15
 
+# column at which a live block is re-based. On 2 Mbase random ACGT with
+# planted swapped copies (p = 64 and 512) gsm_search time is flat from 12
+# to 48; at 8 it is 35% slower (live random blocks pay for the re-base),
+# and without a re-base p = 512 is 60% slower.
+REBASE_COLUMN = 16
+
 
 class _ZeroMap(dict):
-    """str.translate table: its own symbol to "1", every other to "0"."""
+    """str.translate table: its own symbols to digits, every other to "0"."""
 
     def __missing__(self, key):
         self[key] = "0"
@@ -108,27 +118,46 @@ class _ZeroMap(dict):
 
 class _Occurrences(dict):
     """Occurrence ints of one block, built on first use: for symbol index k,
-    bit n-1-j is set when block position j holds that symbol."""
+    lane n-1-j (bit w*(n-1-j)) is set when block position j holds that
+    symbol. After a re-base the ``shift`` lowest bits are dropped."""
 
-    def __init__(self, block, tables):
-        super().__init__()
-        self.block = block
-        self.tables = tables
+    shift = 0
+
+    def __init__(self, block, tables, w, lanes):
+        self.block, self.tables, self.w, self.lanes = block, tables, w, lanes
+        self.groups = {}
 
     def __missing__(self, k):
-        value = self[k] = int(self.block.translate(self.tables[k]), 2)
+        if self.w == 1:
+            value = int(self.block.translate(self.tables[k]), 2)
+        else:
+            g, r = divmod(k, 4)
+            if g not in self.groups:
+                hexits = self.block.translate(self.tables[g])
+                hexits = hexits.zfill(len(hexits) + len(hexits) % 2)
+                self.groups[g] = int.from_bytes(a2b_hex(hexits), "big")
+            value = (self.groups[g] >> r) & self.lanes
+        value = self[k] = value >> self.shift
         return value
 
 
 def _mask_triples(pattern: str | bytes):
-    """Per-column plan and per-symbol translate tables for the block scan.
+    """Per-column plan and translate tables for the block scan.
 
     The pattern's symbols are numbered in order of first occurrence.
     Column i of the plan is ``(pat[i], pat[i-1], pat[i+1])`` as those
     numbers (``None`` past either end): the transposed form of the
     per-symbol filters ``(d, d<<1, d>>1)`` of ``gsm_step``.
-    ``block.translate(tables[k])`` turns a block into a string of "0"/"1"
-    with "1" where the block holds symbol k.
+
+    An occurrence int holds one lane of w bits per block position. With
+    at most two pattern symbols w = 1 and ``block.translate(tables[k])``
+    is a "0"/"1" string, "1" where the block holds symbol k. Otherwise
+    w = 4 and ``tables[g]`` turns symbol 4g + r into the hex digit
+    ``"1248"[r]``: one translate and one ``a2b_hex`` give an int with four
+    occurrence ints packed one-hot in its nibbles, each taken out by
+    ``(x >> r) & lanes``, with bit 0 of each nibble set in ``lanes``.
+    Any other symbol becomes "0" and matches nothing. Returns ``(plan,
+    tables, w)``.
     """
     symbols = list(dict.fromkeys(pattern))
     index = {x: k for k, x in enumerate(symbols)}
@@ -138,27 +167,30 @@ def _mask_triples(pattern: str | bytes):
         (cols[i], cols[i - 1] if i else None, cols[i + 1] if i + 1 < p else None)
         for i in range(p)
     )
+    w = 1 if len(symbols) <= 2 else 4
+    groups = range(0, len(symbols), w)
     if isinstance(pattern, bytes):
-        tables = [
-            bytes(0x31 if b == x else 0x30 for b in range(256)) for x in symbols
-        ]
+        tables = [bytearray(b"0" * 256) for _ in groups]
+        for k, x in enumerate(symbols):
+            tables[k // w][x] = b"1248"[k % w]
     else:
-        tables = [_ZeroMap({ord(x): "1"}) for x in symbols]
-    return plan, tables
+        tables = [_ZeroMap(zip(map(ord, symbols[k:k + w]), "1248")) for k in groups]
+    return plan, tables, w
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _extend_positions(out: list, a: int, first: int) -> None:
-    """Append ``first + k`` for each set bit of ``a``, k counted down from its top bit.
+def _extend_positions(out: list, a: int, first: int, w: int) -> None:
+    """Append ``first + k`` for each set lane of ``a``, k counted from its top lane.
 
-    Sparse bits are found one ``str.find`` call each; dense ones by one C
-    pass of ``compress`` over all bits, which is cheaper once at least one
-    bit in 64 is set: a ``find`` call costs about as much as 60 bits of
-    ``compress`` (CPython 3.11).
+    Lanes are w bits wide, and each is one digit of ``a`` in binary (w = 1)
+    or hex (w = 4). Sparse lanes are found one ``str.find`` call each;
+    dense ones by one C pass of ``compress`` over all digits, which is
+    cheaper once at least one lane in 64 is set: a ``find`` call costs
+    about as much as 60 digits of ``compress`` (CPython 3.11).
     """
-    bits = format(a, "b")
+    bits = format(a, "b" if w == 1 else "x")
     if a.bit_count() * 64 < len(bits):
         find = bits.find
         k = find("1")
@@ -175,47 +207,65 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
 
     The recurrence runs transposed: bit-parallel over the text positions
     of a block of ``BLOCK`` symbols, one pattern column at a time. In a
-    block of n symbols, bit n-1-k of an int stands for block position k
-    (the first symbol is the top bit, so ``int(s, 2)`` reads a translated
-    block as it is). With ``O[x]`` the occurrence int of symbol x and
-    ``S`` the shift to the next position, which brings in column i-1 of
-    the state carried from the previous block, column i takes
+    block of n symbols, lane n-1-k of an int (w bits from bit w*(n-1-k))
+    stands for block position k, so the first symbol is the top lane and
+    a translated block reads as it is. With ``O[x]`` the occurrence int of
+    symbol x and ``S`` the shift to the next position (one lane down),
+    which brings in column i-1 of the state carried from the previous
+    block, column i takes
 
         A_i = S(A_{i-1}) & O[pat[i]] | S(B_{i-1}) & O[pat[i-1]]
         B_i = S(A_{i-1}) & O[pat[i+1]]
 
     where A is the ru|rm signal and B the rd signal (A_0 = O[pat[0]],
-    B_0 = O[pat[1]]); each set bit of A_{p-1} is a match ending at its
-    position. A column is a few big-int operations over n bits, so a
-    block costs about (columns still alive) x (n / word size) word
-    operations, plus one C pass over the block per occurrence int. A
-    block stops early once A_i and B_i are 0 and no carried bit at column
-    i or above is left; on random text that is after a handful of columns
-    whatever p is. ``gsm_step`` is the literal 13-op per-symbol reference
-    this is tested against.
+    B_0 = O[pat[1]]); each set lane of A_{p-1} is a match ending at its
+    position. A block costs one C pass of ``translate`` per pattern symbol
+    (w = 1) or per four of them (w = 4, see ``_mask_triples``), plus a few
+    big-int operations per column over the lanes up to the top live one.
+    A block stops early once A_i and B_i are 0 and no carried bit at
+    column i or above is left; on random text that is after a handful of
+    columns whatever p is. A block still alive at ``REBASE_COLUMN`` is
+    re-based: signals move one lane down per column, so lanes more than
+    p - i below the lowest live one cannot reach a match; they are shifted
+    out, and a column then costs the live span, not the whole block.
+    ``gsm_step`` is the literal 13-op per-symbol reference.
 
     ``j`` counts the symbols scanned before the chunk; ``ca`` and ``cb``
     carry A and B at the last position scanned (bit i for column i) into
     the next call. The first call passes 0 for all three.
     """
-    plan, tables = table
+    plan, tables, w = table
+    lanes = 0
+    if w == 4:
+        # bit 0 of each nibble, as wide as the chunk's longest block
+        lanes = int.from_bytes(b"\x11" * (min(len(chunk), BLOCK) // 2 + 1), "big")
     cur0, _, nxt0 = plan[0]
     for start in range(0, len(chunk), BLOCK):
         block = chunk[start:start + BLOCK]
         n = len(block)
-        top = 1 << (n - 1)
-        occ = _Occurrences(block, tables)
+        top = 1 << w * (n - 1)
+        occ = _Occurrences(block, tables, w, lanes)
         a = occ[cur0]
         b = 0 if nxt0 is None else occ[nxt0]
         na = a & 1
         nb = b & 1
         live = ca | cb
+        s = 0
         for i in range(1, p):
             if not (a or b or live >> (i - 1)):
                 break  # a is 0: no match in this block
+            if i == REBASE_COLUMN:
+                # the lowest live lane lo ends at lo - (p - i) or dies; keep one
+                # lane below it, so lane 0 (the carry out of the block) stays 0
+                ab = a | b
+                s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i) - 1)
+                a, b, top = a >> w * s, b >> w * s, top >> w * s
+                occ.shift = w * s
+                for k in occ:
+                    occ[k] >>= w * s
             cur, prev, nxt = plan[i]
-            sa = a >> 1
-            sb = b >> 1
+            sa = a >> w
+            sb = b >> w
             if (ca >> (i - 1)) & 1:
                 sa |= top
             if (cb >> (i - 1)) & 1:
@@ -227,7 +277,8 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
             na |= (a & 1) << i
             nb |= (b & 1) << i
         if a:
-            _extend_positions(out, a, j + n - a.bit_length() + 2 - p)
+            first = j + n - s + 2 - p - (a.bit_length() + w - 1) // w
+            _extend_positions(out, a, first, w)
         j += n
         ca, cb = na, nb
     return j, ca, cb

@@ -423,6 +423,25 @@ def test_dfa_growth_past_family_cap_stops_at_state_cap(capsys):
     assert captured.err == "error: subset construction exceeded 20000 states\n"
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["dfa-states", "--pattern", "ab", "--state-cap", "-3"], "-3"),
+        (["dfa-growth", "--k-max", "3", "--state-cap", "0"], "0"),
+    ],
+    ids=["dfa-states-negative", "dfa-growth-zero"],
+)
+def test_state_cap_below_one_exit_two(argv, shown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --state-cap: must be at least 1, got {shown}\n"
+    )
+
+
 def test_flaw_demo_matches_golden():
     code, out, _ = invoke(["flaw-demo"])
     assert code == 0

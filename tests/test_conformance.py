@@ -5,6 +5,12 @@ starts and runs on the same instance space: every |Σ| = 2 pair with
 p <= 4 and t <= 7, and seeded random instances over larger alphabets.
 A new engine is covered by adding it to ``ENGINES``. The knowingly
 flawed SMALGO engines are not here; fixtures pin them instead.
+
+The engines that scan in blocks of ``BLOCK`` symbols (``BLOCK_ENGINES``)
+also run on texts of three blocks and more, with swapped copies planted
+across every block edge and where a block gets re-based. ``bma``,
+``dfa`` and ``gsm_step`` are left out there: they cost O(t·p) per
+instance, and the DFA of a p = 512 pattern is too large to build.
 """
 
 import functools
@@ -14,6 +20,8 @@ import pytest
 
 from swapmatch.dfa import dfa_scan_ends, minimize
 from swapmatch.gsm import (
+    BLOCK,
+    REBASE_COLUMN,
     gsm_accepts,
     gsm_precompute,
     gsm_search,
@@ -107,6 +115,105 @@ def test_engine_equals_oracle_random(engine):
     assert sum(bool(want) for _, _, want in instances) >= 40
     for pattern, text, want in instances:
         assert search(pattern, text) == want, (pattern, text)
+
+
+# -- texts longer than one scan block --------------------------------------------
+
+BLOCK_ENGINES = ("gsm", "gsm_stream")
+BLOCK_PATTERN_LENGTHS = (1, 2, 31, 64, 65, 512)
+# a block is re-based only when p is well above REBASE_COLUMN
+REBASE_PATTERN_LENGTHS = (64, 512)
+
+# (pattern symbols, text symbols, also as bytes): two symbols take the
+# 1-bit lanes; ACGT takes the hex lanes, and the N in the text matches no
+# lane; five non-ASCII symbols need two groups of hex lanes
+BLOCK_ALPHABETS = (
+    ("ab", "ab", True),
+    ("ACGT", "ACGTN", True),
+    ("a\u00e9\u03b2\u20ac\U0001d11e", "a\u00e9\u03b2\u20ac\U0001d11e", False),
+)
+
+
+def _swapped(pattern: str, rng: random.Random) -> str:
+    out = list(pattern)
+    i = 0
+    while i + 1 < len(out):
+        if rng.random() < 0.4:
+            out[i], out[i + 1] = out[i + 1], out[i]
+            i += 2
+        else:
+            i += 1
+    return "".join(out)
+
+
+def _plant(pattern: str, sigma: str, n: int, starts: list, seed: int) -> str:
+    rng = random.Random(seed)
+    text = [rng.choice(sigma) for _ in range(n)]
+    for start in starts:
+        text[start:start + len(pattern)] = _swapped(pattern, rng)
+    return "".join(text)
+
+
+def _planted_text(pattern: str, sigma: str, seed: int) -> tuple[str, list[int]]:
+    """Random text of 3 blocks and a bit, with a swapped copy of the pattern
+    straddling each block boundary; returns the text and the copies' starts."""
+    starts = [k * BLOCK - len(pattern) // 2 for k in (1, 2, 3)]
+    return _plant(pattern, sigma, 3 * BLOCK + 700, starts, seed), starts
+
+
+def _rebase_text(pattern: str, sigma: str, seed: int) -> tuple[str, list[int]]:
+    """Random text of 3 blocks and an odd-length fourth, with swapped copies
+    where a block is still alive at the re-base column: near block 0's
+    first position; two far apart in block 1; one straddling into the
+    last block, which a second copy keeps alive at the re-base column.
+    Returns the text and the copies' starts."""
+    p = len(pattern)
+    starts = [
+        3,
+        BLOCK + 200,
+        BLOCK + 20000,
+        3 * BLOCK - p // 2,
+        3 * BLOCK + p // 2 + 40,
+    ]
+    return _plant(pattern, sigma, 3 * BLOCK + 2 * p + 177, starts, seed), starts
+
+
+@functools.cache
+def _block_cases():
+    """(pattern, text, planted 1-based starts) for every block instance."""
+    out = []
+    for seed, (pattern_sigma, text_sigma, as_bytes) in enumerate(BLOCK_ALPHABETS):
+        rng = random.Random(seed)
+        planted = [(p, _planted_text) for p in BLOCK_PATTERN_LENGTHS]
+        planted += [(p, _rebase_text) for p in REBASE_PATTERN_LENGTHS]
+        for p, make in planted:
+            pattern = "".join(rng.choice(pattern_sigma) for _ in range(p))
+            if make is _rebase_text:
+                # the last symbol first shows up past the re-base column,
+                # so its occurrence int is built after the re-base
+                late = REBASE_COLUMN + 4
+                head = "".join(rng.choice(pattern_sigma[:-1]) for _ in range(late))
+                pattern = head + pattern[late:]
+            text, starts = make(pattern, text_sigma, seed=p)
+            ones = [start + 1 for start in starts]
+            out.append((pattern, text, ones))
+            if as_bytes:
+                out.append((pattern.encode(), text.encode(), ones))
+    return out
+
+
+@functools.cache
+def _oracle_positions(pattern, text):
+    return oracle_search(pattern, text).positions
+
+
+@pytest.mark.parametrize("engine", BLOCK_ENGINES)
+def test_engine_equals_oracle_across_blocks(engine):
+    search = ENGINES[engine]
+    for pattern, text, starts in _block_cases():
+        want = _oracle_positions(pattern, text)
+        assert set(starts) <= set(want), (len(pattern), text[:1])
+        assert search(pattern, text) == want, (len(pattern), text[:1])
 
 
 @pytest.mark.parametrize("algo", sorted(SEARCHERS))

@@ -18,6 +18,13 @@ from swapmatch.gsm import (
 )
 from swapmatch.oracle import oracle_match_at, oracle_search
 
+from test_conformance import (
+    BLOCK_PATTERN_LENGTHS,
+    _block_cases,
+    _oracle_positions,
+    _planted_text,
+)
+
 patterns = st.text(alphabet="abc", min_size=1, max_size=9)
 texts = st.text(alphabet="abcd", min_size=0, max_size=40)
 
@@ -382,49 +389,25 @@ def test_stream_equals_search_any_chunking(pattern, text, cuts):
 
 
 # -- texts longer than one scan block ---------------------------------------------
-
-BLOCK_PATTERN_LENGTHS = (1, 2, 31, 64, 65, 512)
-
-
-def _swapped(pattern: str, rng: random.Random) -> str:
-    out = list(pattern)
-    i = 0
-    while i + 1 < len(out):
-        if rng.random() < 0.4:
-            out[i], out[i + 1] = out[i + 1], out[i]
-            i += 2
-        else:
-            i += 1
-    return "".join(out)
+# The block instances and their oracle positions are the conformance
+# harness's; gsm and gsm_stream run on all of them there. The tests below
+# pin gsm_search on ACGT and non-ASCII str texts of three blocks and a bit.
 
 
-def _planted_text(pattern: str, sigma: str, seed: int) -> tuple[str, list[int]]:
-    """Random text of 3 blocks and a bit, with a swapped copy of the pattern
-    straddling each block boundary; returns the text and the copies' starts."""
-    rng = random.Random(seed)
-    text = [rng.choice(sigma) for _ in range(3 * BLOCK + 700)]
-    starts = []
-    for k in (1, 2, 3):
-        start = k * BLOCK - len(pattern) // 2
-        text[start:start + len(pattern)] = _swapped(pattern, rng)
-        starts.append(start + 1)
-    return "".join(text), starts
-
-
-def _block_cases(sigma: str):
+def _acgt_block_cases():
     for p in BLOCK_PATTERN_LENGTHS:
         rng = random.Random(p)
-        pattern = "".join(rng.choice(sigma) for _ in range(p))
-        text, starts = _planted_text(pattern, sigma, seed=p)
-        yield pattern, text, starts
+        pattern = "".join(rng.choice("ACGT") for _ in range(p))
+        text, starts = _planted_text(pattern, "ACGT", seed=p)
+        yield pattern, text, [start + 1 for start in starts]
 
 
 @pytest.mark.parametrize("as_bytes", [False, True])
 def test_search_equals_oracle_across_blocks(as_bytes):
-    for pattern, text, starts in _block_cases("ACGT"):
+    for pattern, text, starts in _acgt_block_cases():
         if as_bytes:
             pattern, text = pattern.encode(), text.encode()
-        want = oracle_search(pattern, text).positions
+        want = _oracle_positions(pattern, text)
         assert set(starts) <= set(want)
         assert gsm_search(pattern, text).positions == want, len(pattern)
 
@@ -435,7 +418,7 @@ def test_search_non_ascii_str_across_blocks():
     pattern = "".join(rng.choice(sigma) for _ in range(65))
     text, starts = _planted_text(pattern, sigma, seed=9)
     want = oracle_search(pattern, text).positions
-    assert set(starts) <= set(want)
+    assert {start + 1 for start in starts} <= set(want)
     assert gsm_search(pattern, text).positions == want
 
 
@@ -444,13 +427,13 @@ def test_stream_across_blocks_any_cut(as_bytes):
     # cuts one symbol either side of each block boundary, an empty chunk
     # and a one-symbol chunk
     cuts = [5, 5, 6] + [k * BLOCK + d for k in (1, 2, 3) for d in (-1, 1)]
-    for pattern, text, _ in _block_cases("ACGT"):
-        if as_bytes:
-            pattern, text = pattern.encode(), text.encode()
+    for pattern, text, _ in _block_cases():
+        if isinstance(text, bytes) != as_bytes:
+            continue
         chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
         assert b"" in chunks or "" in chunks
         assert chunks[2:3] == [text[5:6]]
         assert (
             tuple(gsm_search_stream(pattern, chunks))
-            == oracle_search(pattern, text).positions
+            == _oracle_positions(pattern, text)
         ), len(pattern)
