@@ -12,12 +12,15 @@ the word count beyond.
 values, kept as the reference. ``gsm_search``/``gsm_search_stream`` run
 the same recurrence transposed, for speed: bit-parallel over blocks of
 text positions, one pattern column at a time, so Python pays per column
-and per block instead of per symbol, and a block stops as soon as every
-window in it has died. A block's occurrence ints take one translate per
-pattern symbol, or per four symbols packed in hex nibbles when the pattern
-has more than two, and a block still alive after a few columns is cut to
-the span its signals can still reach. The two are equivalence-tested
-against each other and against the brute-force oracle.
+and per block instead of per symbol. A block carries to the next one the
+columns 0..p-2 of its signals at its last position, the only ones a later
+column reads, and it stops as soon as every window in it has died and no
+carried signal is left to enter it. A block's occurrence ints take one
+translate per pattern symbol, or per four symbols packed in hex nibbles
+when the pattern has more than two, and a block still alive after a few
+columns, by its own signals or by carries still to enter, is cut to the
+span they can still reach. The two are equivalence-tested against each
+other and against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -107,6 +110,10 @@ BLOCK = 1 << 15
 # and without a re-base p = 512 is 60% slower.
 REBASE_COLUMN = 16
 
+# bit 0 of each nibble of a block's hex lanes. ``&`` costs only the shorter
+# operand, so one mask as wide as a whole block serves every block.
+_LANES = int.from_bytes(b"\x11" * (BLOCK // 2), "big")
+
 
 class _ZeroMap(dict):
     """str.translate table: its own symbols to digits, every other to "0"."""
@@ -123,8 +130,8 @@ class _Occurrences(dict):
 
     shift = 0
 
-    def __init__(self, block, tables, w, lanes):
-        self.block, self.tables, self.w, self.lanes = block, tables, w, lanes
+    def __init__(self, block, tables, w):
+        self.block, self.tables, self.w = block, tables, w
         self.groups = {}
 
     def __missing__(self, k):
@@ -136,7 +143,7 @@ class _Occurrences(dict):
                 hexits = self.block.translate(self.tables[g])
                 hexits = hexits.zfill(len(hexits) + len(hexits) % 2)
                 self.groups[g] = int.from_bytes(a2b_hex(hexits), "big")
-            value = (self.groups[g] >> r) & self.lanes
+            value = (self.groups[g] >> r) & _LANES
         value = self[k] = value >> self.shift
         return value
 
@@ -155,7 +162,7 @@ def _mask_triples(pattern: str | bytes):
     w = 4 and ``tables[g]`` turns symbol 4g + r into the hex digit
     ``"1248"[r]``: one translate and one ``a2b_hex`` give an int with four
     occurrence ints packed one-hot in its nibbles, each taken out by
-    ``(x >> r) & lanes``, with bit 0 of each nibble set in ``lanes``.
+    ``(x >> r) & _LANES``, with bit 0 of each nibble set in ``_LANES``.
     Any other symbol becomes "0" and matches nothing. Returns ``(plan,
     tables, w)``.
     """
@@ -223,42 +230,43 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
     (w = 1) or per four of them (w = 4, see ``_mask_triples``), plus a few
     big-int operations per column over the lanes up to the top live one.
     A block stops early once A_i and B_i are 0 and no carried bit at
-    column i or above is left; on random text that is after a handful of
-    columns whatever p is. A block still alive at ``REBASE_COLUMN`` is
+    column i - 1 or above is left; on random text that is after a handful
+    of columns whatever p is. A block still alive at ``REBASE_COLUMN`` is
     re-based: signals move one lane down per column, so lanes more than
     p - i below the lowest live one cannot reach a match; they are shifted
     out, and a column then costs the live span, not the whole block.
-    ``gsm_step`` is the literal 13-op per-symbol reference.
+    Carries still to enter come in at the top lane, so it counts as live:
+    a block that a straddling copy reaches only through carries is
+    re-based too. ``gsm_step`` is the literal 13-op per-symbol reference.
 
     ``j`` counts the symbols scanned before the chunk; ``ca`` and ``cb``
     carry A and B at the last position scanned (bit i for column i) into
-    the next call. The first call passes 0 for all three.
+    the next call. They hold columns 0..p-2 only, recorded from lane 0 at
+    the top of the next column: column p - 1 is a match, which no later
+    column reads. The first call passes 0 for all three.
     """
     plan, tables, w = table
-    lanes = 0
-    if w == 4:
-        # bit 0 of each nibble, as wide as the chunk's longest block
-        lanes = int.from_bytes(b"\x11" * (min(len(chunk), BLOCK) // 2 + 1), "big")
     cur0, _, nxt0 = plan[0]
     for start in range(0, len(chunk), BLOCK):
         block = chunk[start:start + BLOCK]
         n = len(block)
         top = 1 << w * (n - 1)
-        occ = _Occurrences(block, tables, w, lanes)
+        occ = _Occurrences(block, tables, w)
         a = occ[cur0]
         b = 0 if nxt0 is None else occ[nxt0]
-        na = a & 1
-        nb = b & 1
         live = ca | cb
-        s = 0
+        na = nb = s = 0
         for i in range(1, p):
             if not (a or b or live >> (i - 1)):
                 break  # a is 0: no match in this block
+            na |= (a & 1) << (i - 1)
+            nb |= (b & 1) << (i - 1)
             if i == REBASE_COLUMN:
-                # the lowest live lane lo ends at lo - (p - i) or dies; keep one
-                # lane below it, so lane 0 (the carry out of the block) stays 0
-                ab = a | b
-                s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i) - 1)
+                # the lowest live lane lo, counting the top lane where pending
+                # carries enter, ends at lo - (p - i) by column p - 1, which
+                # no carry records; the lanes below that are shifted out
+                ab = a | b | top
+                s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i))
                 a, b, top = a >> w * s, b >> w * s, top >> w * s
                 occ.shift = w * s
                 for k in occ:
@@ -274,8 +282,6 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
             if sb:
                 a |= sb & occ[prev]
             b = sa & occ[nxt] if sa and nxt is not None else 0
-            na |= (a & 1) << i
-            nb |= (b & 1) << i
         if a:
             first = j + n - s + 2 - p - (a.bit_length() + w - 1) // w
             _extend_positions(out, a, first, w)
@@ -297,12 +303,12 @@ def gsm_search_stream(
 ) -> Iterator[int]:
     """Stream variant: match positions for the concatenation of the chunks.
 
-    Chunks are gathered until at least ``BLOCK`` symbols are pending; the
-    whole blocks among them are scanned and the rest waits for the next
-    chunk, so the cost per symbol does not depend on how the input was cut
-    and memory stays bounded by one block plus one chunk. Positions are
-    yielded once the block holding their last symbol has been scanned
-    (at the latest when the chunks run out).
+    Chunks are gathered until at least ``BLOCK`` symbols are pending, and
+    then all of them are scanned: whole blocks and at most one short one,
+    whose state the carries take on to the next scan. So no chunk is cut,
+    each scan covers at least one block, and memory stays bounded by one
+    block plus one chunk. Positions are yielded once the scan holding
+    their last symbol is done (at the latest when the chunks run out).
     """
     p = len(pattern)
     if p == 0:
@@ -320,12 +326,10 @@ def gsm_search_stream(
         size += len(chunk)
         if size < BLOCK:
             continue
-        data = join(pending)
-        cut = size - size % BLOCK
         out: list[int] = []
-        j, a, b = _scan_chunk(table, j, p, data[:cut], a, b, out)
-        pending = [data[cut:]]
-        size -= cut
+        j, a, b = _scan_chunk(table, j, p, join(pending), a, b, out)
+        pending = []
+        size = 0
         yield from out
     out = []
     _scan_chunk(table, j, p, join(pending), a, b, out)

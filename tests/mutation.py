@@ -1,0 +1,199 @@
+"""Mutation check: do the tests that guard each engine kill one-line mutants?
+
+Each mutant replaces one line of ``src/swapmatch``. The script copies
+``src/`` into a temporary directory, applies the mutant there, and runs
+the test file that guards the mutated code with the copy first on the
+import path: the conformance harness for the correct engines and the
+oracle, the frozen fixtures of ``test_smalgo.py`` for the knowingly
+flawed SMALGO engines, and ``test_report.py`` for ``MatchReport``. A
+mutant is killed when that run fails. Mutants that cannot change any
+output (they only change how much work is done) carry the reason in
+``equivalent`` and are expected to survive.
+
+    python tests/mutation.py              # every mutant
+    python tests/mutation.py NAME [...]   # only the named ones
+
+Prints one line per mutant and exits 1 when a mutant without a stated
+reason survives or an expected survivor is killed. The file has no
+``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GUARDS = {
+    "conformance": ["tests/test_conformance.py"],
+    "smalgo-fixtures": ["tests/test_smalgo.py", "-k", "frozen or fixture"],
+    "report": ["tests/test_report.py"],
+}
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/swapmatch
+    old: str  # must occur exactly once in the module
+    new: str
+    guard: str  # key of GUARDS
+    equivalent: str = ""  # why no output can change; empty if it must be killed
+
+
+MUTANTS = (
+    # gsm._scan_chunk: the carry out of a block
+    Mutant("carry-a-one-column-late", "gsm.py",
+           "na |= (a & 1) << (i - 1)", "na |= (a & 1) << i", "conformance"),
+    Mutant("carry-b-dropped", "gsm.py",
+           "nb |= (b & 1) << (i - 1)", "nb |= 0", "conformance"),
+    Mutant("carry-start-from-column-0", "gsm.py",
+           "na = nb = s = 0", "na, nb, s = a & 1, b & 1, 0", "conformance",
+           "column 1 records the same bit 0; with p = 1 the bit is column p - 1, "
+           "which no column reads"),
+    Mutant("carry-a-not-entered", "gsm.py",
+           "sa |= top", "sa |= 0", "conformance"),
+    Mutant("carry-b-not-entered", "gsm.py",
+           "sb |= top", "sb |= 0", "conformance"),
+    # gsm._scan_chunk: early exit and re-base
+    Mutant("exit-ignores-carries", "gsm.py",
+           "if not (a or b or live >> (i - 1)):", "if not (a or b):", "conformance"),
+    Mutant("exit-reads-carries-one-column-late", "gsm.py",
+           "live >> (i - 1)):", "live >> i):", "conformance"),
+    Mutant("rebase-never", "gsm.py",
+           "if i == REBASE_COLUMN:", "if i == -1:", "conformance",
+           "the re-base drops only lanes that cannot reach a match by column p - 1"),
+    Mutant("rebase-ignores-pending-carries", "gsm.py",
+           "ab = a | b | top", "ab = a | b", "conformance",
+           "with a | b = 0 the shift is 0; otherwise a | b has a lane no higher "
+           "than the top lane, so the shift is the same or smaller"),
+    Mutant("rebase-keeps-one-more-lane", "gsm.py",
+           "// w - (p - i))", "// w - (p - i) - 1)", "conformance",
+           "shifting one lane less keeps one lane that no signal reaches"),
+    Mutant("rebase-one-lane-too-far", "gsm.py",
+           "// w - (p - i))", "// w - (p - i) + 1)", "conformance"),
+    Mutant("rebase-cached-occurrences-unshifted", "gsm.py",
+           "occ[k] >>= w * s", "occ[k] >>= 0", "conformance"),
+    Mutant("rebase-later-occurrences-unshifted", "gsm.py",
+           "occ.shift = w * s", "occ.shift = 0", "conformance"),
+    Mutant("positions-ignore-rebase", "gsm.py",
+           "first = j + n - s + 2 - p", "first = j + n + 2 - p", "conformance"),
+    # gsm: occurrence ints and position extraction
+    Mutant("nibble-select-off-by-one", "gsm.py",
+           "(self.groups[g] >> r) & _LANES", "(self.groups[g] >> (r + 1)) & _LANES",
+           "conformance"),
+    Mutant("nibble-mask-one-byte-short", "gsm.py",
+           'b"\\x11" * (BLOCK // 2)', 'b"\\x11" * (BLOCK // 2 - 1)', "conformance"),
+    Mutant("extract-always-by-find", "gsm.py",
+           "if a.bit_count() * 64 < len(bits):", "if True:", "conformance",
+           "find and compress read the same set lanes; the threshold picks the "
+           "cheaper one"),
+    Mutant("extract-find-skips-a-lane", "gsm.py",
+           'k = find("1", k + 1)', 'k = find("1", k + 2)', "conformance"),
+    Mutant("extract-compress-off-by-one", "gsm.py",
+           "positions = range(first, first + len(bits))",
+           "positions = range(first + 1, first + 1 + len(bits))", "conformance"),
+    # gsm.gsm_search_stream
+    Mutant("stream-scans-every-chunk", "gsm.py",
+           "if size < BLOCK:", "if size < 1:", "conformance",
+           "the carries take the state across any cut, so smaller scans give the "
+           "same positions"),
+    Mutant("stream-rescans-last-chunk", "gsm.py",
+           "pending = []\n        size = 0", "pending = pending[-1:]\n        size = 0",
+           "conformance"),
+    # smalgo.smalgo_precompute (knowingly flawed engines: frozen fixtures)
+    Mutant("smalgo-edge-rule-flipped", "smalgo.py",
+           "if (r2 == -1) != (r1 == 1):", "if (r2 == -1) == (r1 == 1):",
+           "smalgo-fixtures"),
+    Mutant("smalgo-pmask3-without-bit-one", "smalgo.py",
+           "pmask3={key: v | 1 for", "pmask3={key: v for", "smalgo-fixtures"),
+    # dfa.minimize (the conformance dfa engine)
+    Mutant("minimize-stops-after-one-round", "dfa.py",
+           "if len(ids) == n_blocks:", "if True:", "conformance"),
+    Mutant("minimize-accepting-flipped", "dfa.py",
+           "if member[b] in dfa.accepting)", "if member[b] not in dfa.accepting)",
+           "conformance"),
+    # model.bma_at
+    Mutant("bma-filter-flipped", "model.py",
+           "if labels[v] == x}", "if labels[v] != x}", "conformance"),
+    # oracle._window_matches
+    Mutant("oracle-swap-reads-own-symbol", "oracle.py",
+           "(b and c == pattern[i - 1])", "(b and c == pattern[i])", "conformance"),
+    Mutant("oracle-swaps-equal-symbols", "oracle.py",
+           "pattern[i] != pattern[i + 1] and ", "", "conformance",
+           "swapping equal symbols reads the same as not swapping: state b then "
+           "implies state a and adds nothing to it"),
+    # report.MatchReport.__post_init__
+    Mutant("report-order-skips-a-pair", "report.py",
+           "islice(pos, 1, None)", "islice(pos, 2, None)", "report"),
+    Mutant("report-range-checks-first-only", "report.py",
+           "for k in (pos[0], pos[-1]):", "for k in (pos[0],):", "report"),
+)
+
+
+def _copy_src(dest: Path, mutant: Mutant | None) -> Path:
+    src = dest / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        path = src / "swapmatch" / mutant.module
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(
+                f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times "
+                f"in {mutant.module}, not once"
+            )
+        path.write_text(text.replace(mutant.old, mutant.new))
+    return src
+
+
+def _run(src: Path, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+
+
+def _pytest(src: Path, guard: str) -> int:
+    return _run(src, ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *GUARDS[guard]]).returncode
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="swapmatch-mutation-") as tmp:
+        src = _copy_src(Path(tmp), None)
+        probe = _run(src, ["-c", "import swapmatch; print(swapmatch.__file__)"])
+        if not probe.stdout.startswith(str(src)):
+            print(f"the copy is not imported: {probe.stdout or probe.stderr}", file=sys.stderr)
+            return 2
+        for guard in sorted({m.guard for m in chosen}):
+            if _pytest(src, guard) != 0:
+                print(f"{guard} fails on the unmutated copy", file=sys.stderr)
+                return 2
+        outcomes = []
+        for m in chosen:
+            code = _pytest(_copy_src(Path(tmp), m), m.guard)
+            outcome = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            ok = outcome == ("survived" if m.equivalent else "killed")
+            outcomes.append((outcome, ok))
+            note = f"  [equivalent: {m.equivalent}]" if m.equivalent else ""
+            print(f"{outcome:9} {m.name} ({m.guard}){note}{'' if ok else '  <- unexpected'}",
+                  flush=True)
+    killed = sum(outcome == "killed" for outcome, _ in outcomes)
+    survived = sum(outcome == "survived" for outcome, _ in outcomes)
+    bad = sum(not ok for _, ok in outcomes)
+    print(f"{len(chosen)} mutants: {killed} killed, {survived} survived, {bad} unexpected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,10 +7,11 @@ A new engine is covered by adding it to ``ENGINES``. The knowingly
 flawed SMALGO engines are not here; fixtures pin them instead.
 
 The engines that scan in blocks of ``BLOCK`` symbols (``BLOCK_ENGINES``)
-also run on texts of three blocks and more, with swapped copies planted
-across every block edge and where a block gets re-based. ``bma``,
-``dfa`` and ``gsm_step`` are left out there: they cost O(t·p) per
-instance, and the DFA of a p = 512 pattern is too large to build.
+also run on texts of two blocks and more, with swapped copies planted
+across every block edge and where a block gets re-based, and with a run
+of matches at consecutive positions. ``bma``, ``dfa`` and ``gsm_step``
+are left out there: they cost O(t·p) per instance, and the DFA of a
+p = 512 pattern is too large to build.
 """
 
 import functools
@@ -199,6 +200,15 @@ def _block_cases():
             out.append((pattern, text, ones))
             if as_bytes:
                 out.append((pattern.encode(), text.encode(), ones))
+    # an alternating run across block edge 1 matches at 49 consecutive
+    # positions, yet the block stays sparse enough that position extraction
+    # takes its one-find-per-lane route
+    rng = random.Random(len(BLOCK_ALPHABETS))
+    noise = "".join(rng.choice("ab") for _ in range(2 * BLOCK))
+    start = BLOCK - 40
+    text = noise[:start] + "ab" * 40 + noise[start + 80:]
+    ones = list(range(start + 1, start + 50))
+    out += [("ab" * 16, text, ones), (b"ab" * 16, text.encode(), ones)]
     return out
 
 

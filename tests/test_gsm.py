@@ -5,10 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swapmatch import gsm
 from swapmatch.bitvec import BitVector, count_ops
 from swapmatch.gsm import (
     BLOCK,
     GsmState,
+    _mask_triples,
+    _scan_chunk,
     gsm_accepts,
     gsm_precompute,
     gsm_search,
@@ -22,6 +25,7 @@ from test_conformance import (
     BLOCK_PATTERN_LENGTHS,
     _block_cases,
     _oracle_positions,
+    _plant,
     _planted_text,
 )
 
@@ -437,3 +441,43 @@ def test_stream_across_blocks_any_cut(as_bytes):
             tuple(gsm_search_stream(pattern, chunks))
             == _oracle_positions(pattern, text)
         ), len(pattern)
+
+
+# -- what a block carries and where it is re-based -----------------------------
+# Neither rule changes an output, so no oracle test can catch a slip in one.
+
+
+@pytest.mark.parametrize("sigma", ["ab", "ACGT"])
+@pytest.mark.parametrize("p", [64, 512])
+def test_carry_out_holds_only_columns_a_later_block_reads(sigma, p):
+    # the copy matches at lane 0, column p - 1; the next block reads carry
+    # bits 0..p-2 only, and a bit above them would keep it from stopping early
+    rng = random.Random(p)
+    pattern = "".join(rng.choice(sigma) for _ in range(p))
+    text = _plant(pattern, sigma, BLOCK, [BLOCK - p], seed=p)
+    out = []
+    j, ca, cb = _scan_chunk(_mask_triples(pattern), 0, p, text, 0, 0, out)
+    assert j == BLOCK and BLOCK - p + 1 in out
+    assert (ca | cb).bit_length() <= p - 1
+
+
+def test_block_reached_only_through_carries_is_rebased(monkeypatch):
+    # a copy straddling the block edge 256/256; nothing else in block 1 is
+    # alive at the re-base column, where the copy's signals are still carries
+    # that enter at the top lane
+    made = []
+
+    class Recording(gsm._Occurrences):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(gsm, "_Occurrences", Recording)
+    p = 512
+    rng = random.Random(7)
+    pattern = "".join(rng.choice("ACGT") for _ in range(p))
+    start = BLOCK - p // 2
+    text = _plant(pattern, "ACGT", 2 * BLOCK, [start], seed=7)
+    assert gsm_search(pattern, text).positions == _oracle_positions(pattern, text)
+    assert start + 1 in _oracle_positions(pattern, text)
+    assert len(made) == 2 and made[1].shift > 0
