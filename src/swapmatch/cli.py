@@ -7,7 +7,11 @@ false-positive trace), ``dfa-growth``/``dfa-states`` (state-count
 tables), and ``bench`` (seeded throughput measurements as CSV).
 
 Exit codes: 0 success (for ``search``: at least one match), 1 no match,
-2 error / failed verification.
+2 error / failed verification. ``main`` is the one place that turns an
+error a command raises (bad input, a failed read or write, a state cap
+reached) into an ``error:`` line on stderr and exit 2. Each command
+writes to stdout inside ``_stdout_writes``, so a reader that closes early
+(``| head``) ends the output quietly and the command keeps its exit code.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ import re
 import statistics
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from random import Random
 from typing import Collection, Iterator, Sequence
 
 from .dfa import (
     DEFAULT_STATE_CAP,
+    StateLimitExceeded,
     determinize,
     growth_csv,
     growth_table,
@@ -278,40 +283,36 @@ def _print_report(report: MatchReport, fmt: str) -> None:
             write("%d\n" * len(chunk) % chunk)
 
 
-def _stdout_to_devnull() -> None:
-    """Point the stdout file descriptor at the null device, if it has one.
+@contextmanager
+def _stdout_writes() -> Iterator[None]:
+    """Run a command's writes to stdout, then flush them.
 
-    After the reader of a pipe has gone, the flush at interpreter exit
-    would fail again and print "Exception ignored"; writes to the null
-    device succeed.
+    A reader that has gone (``| head``) ends the output quietly; any other
+    failed write is re-raised for ``main`` to report. Either way stdout's
+    file descriptor, if any, is first pointed at the null device, so the
+    flush at interpreter exit cannot fail again. Hold only writes in the
+    block: an ``OSError`` from it is taken for a failed write.
     """
     try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError):
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(devnull, fd)
-    finally:
-        os.close(devnull)
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        with suppress(AttributeError, OSError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def cmd_search(args) -> int:
-    try:
-        pattern = args.pattern.encode("latin-1")
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
-        text = _read_text_input(args)
-        report = SEARCHERS[args.algo](pattern, text)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+    pattern = args.pattern.encode("latin-1")
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    report = SEARCHERS[args.algo](pattern, _read_text_input(args))
+    with _stdout_writes():
         _print_report(report, args.format)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early (``| head``); the matches were found
-        _stdout_to_devnull()
     return 0 if report.positions else 1
 
 
@@ -361,109 +362,105 @@ def _parse_algos(spec: str, choices: Collection[str]) -> list[str]:
 
 def cmd_verify(args) -> int:
     sigma = args.sigma
-    try:
-        # the oracle is the ground truth, so it cannot be verified
-        algos = _parse_algos(args.algos, SEARCHERS.keys() - {"oracle"})
-        if not sigma:
-            raise ValueError("sigma must hold at least one symbol")
-        if len(set(sigma)) != len(sigma):
-            raise ValueError(f"sigma {sigma!r} repeats a symbol")
-        if args.p_min < 1:
-            raise ValueError("p-min must be >= 1")
-        if args.p_min > args.p_max:
-            raise ValueError("p-min must be <= p-max")
-        if args.t_min < 0:
-            raise ValueError("t-min must be >= 0")
-        if args.t_min > args.t_max:
-            raise ValueError("t-min must be <= t-max")
-        if args.mode == "exhaustive":
-            n_pat = _space_size(len(sigma), args.p_min, args.p_max)
-            n_txt = _space_size(len(sigma), args.t_min, args.t_max)
-            if n_pat > MAX_SPACE_STRINGS or n_txt > MAX_SPACE_STRINGS:
-                raise ValueError("string space exceeds the desk-scale cap")
-            if n_pat * n_txt > MAX_EXHAUSTIVE_PAIRS:
-                raise ValueError(
-                    f"{n_pat * n_txt} pairs exceed the cap {MAX_EXHAUSTIVE_PAIRS}"
-                )
-        else:
-            if args.trials < 1:
-                raise ValueError("trials must be >= 1")
-            if args.trials > MAX_TRIALS:
-                raise ValueError(f"trials cap is {MAX_TRIALS}")
-            if args.t_max > MAX_RANDOM_T or args.p_max > MAX_RANDOM_P:
-                raise ValueError(
-                    f"random caps: t<={MAX_RANDOM_T}, p<={MAX_RANDOM_P}"
-                )
-            if args.t_min < args.p_min:
-                raise ValueError("random mode needs t-min >= p-min")
-        # opened before the scan, so a bad path fails before any work
-        fixture = open(args.fixture_out, "w", encoding="utf-8") if args.fixture_out else None
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # the oracle is the ground truth, so it cannot be verified
+    algos = _parse_algos(args.algos, SEARCHERS.keys() - {"oracle"})
+    if not sigma:
+        raise ValueError("sigma must hold at least one symbol")
+    if len(set(sigma)) != len(sigma):
+        raise ValueError(f"sigma {sigma!r} repeats a symbol")
+    # fixture records are tab-separated, one per line
+    if set(sigma) & set("\t\r\n"):
+        raise ValueError(f"sigma {sigma!r} holds a tab or a line break")
+    if args.p_min < 1:
+        raise ValueError("p-min must be >= 1")
+    if args.p_min > args.p_max:
+        raise ValueError("p-min must be <= p-max")
+    if args.t_min < 0:
+        raise ValueError("t-min must be >= 0")
+    if args.t_min > args.t_max:
+        raise ValueError("t-min must be <= t-max")
+    if args.mode == "exhaustive":
+        n_pat = _space_size(len(sigma), args.p_min, args.p_max)
+        n_txt = _space_size(len(sigma), args.t_min, args.t_max)
+        if n_pat > MAX_SPACE_STRINGS or n_txt > MAX_SPACE_STRINGS:
+            raise ValueError("string space exceeds the desk-scale cap")
+        if n_pat * n_txt > MAX_EXHAUSTIVE_PAIRS:
+            raise ValueError(
+                f"{n_pat * n_txt} pairs exceed the cap {MAX_EXHAUSTIVE_PAIRS}"
+            )
+    else:
+        if args.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if args.trials > MAX_TRIALS:
+            raise ValueError(f"trials cap is {MAX_TRIALS}")
+        if args.t_max > MAX_RANDOM_T or args.p_max > MAX_RANDOM_P:
+            raise ValueError(
+                f"random caps: t<={MAX_RANDOM_T}, p<={MAX_RANDOM_P}"
+            )
+        if args.t_min < args.p_min:
+            raise ValueError("random mode needs t-min >= p-min")
 
+    # opened before the scan, so a bad path fails before any work
+    fixture = open(args.fixture_out, "w", encoding="utf-8") if args.fixture_out else None
     with fixture or nullcontext():
         results = compare_with_oracle(_verify_pairs(args), algos)
-        failed = False
+        records = {
+            algo: [format_discrepancies([d]) for d in results[algo].discrepancies]
+            for algo in algos
+        }
+        # written before stdout, so a reader that closes early leaves it whole
+        if fixture is not None:
+            for algo in algos:
+                fixture.write("".join(records[algo]))
+    failed = any(results[algo].discrepancies for algo in algos if algo in ("gsm", "bma"))
+    with _stdout_writes():
         for algo in algos:
-            scanned, found = results[algo].pairs_scanned, results[algo].discrepancies
-            print(f"algo={algo} pairs={scanned} discrepancies={len(found)}")
-            records = [format_discrepancies([d]) for d in found]
-            sys.stdout.write("".join(f"  {r}" for r in records))
-            if fixture is not None:
-                fixture.write("".join(records))
-            if found and algo in ("gsm", "bma"):
-                failed = True
+            found = records[algo]
+            print(f"algo={algo} pairs={results[algo].pairs_scanned} discrepancies={len(found)}")
+            sys.stdout.write("".join(f"  {r}" for r in found))
     return 2 if failed else 0
 
 
 def cmd_flaw_demo(_args) -> int:
-    sys.stdout.write(flaw_demo_text())
+    text = flaw_demo_text()
+    with _stdout_writes():
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_dfa_growth(args) -> int:
-    try:
-        rows = growth_table(args.k_max, state_cap=args.state_cap)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(growth_csv(rows))
-    bad = [r for r in rows if not r.bound_ok]
+    rows = growth_table(args.k_max, state_cap=args.state_cap)
+    with _stdout_writes():
+        sys.stdout.write(growth_csv(rows))
+    bad = [r.k for r in rows if not r.bound_ok]
     if bad:
-        print(f"error: lower bound violated at k={[r.k for r in bad]}", file=sys.stderr)
+        print(f"error: lower bound violated at k={bad}", file=sys.stderr)
         return 2
     return 0
 
 
 def cmd_dfa_states(args) -> int:
-    try:
-        pattern = args.pattern
-        dfa = determinize(pattern, args.alphabet or None, args.state_cap)
-        mdfa = minimize(dfa)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pattern = args.pattern
+    dfa = determinize(pattern, args.alphabet or None, args.state_cap)
+    row = [pattern, len(pattern), build_pgraph(pattern).vertex_count + 1,
+           dfa.n_states, minimize(dfa).n_states]
     import csv  # here, not at the top: no other command pays for its import
 
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["pattern", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states"])
-    nfa_states = build_pgraph(pattern).vertex_count + 1
-    out.writerow([pattern, len(pattern), nfa_states, dfa.n_states, mdfa.n_states])
+    with _stdout_writes():
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["pattern", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states"])
+        out.writerow(row)
     return 0
 
 
 def cmd_bench(args) -> int:
-    try:
-        algos = _parse_algos(args.algos, SEARCHERS)
-        p_list = [int(x) for x in args.p_list.split(",")]
-        records = run_bench(algos, p_list, args.t, args.sigma, args.seed, args.reps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(BENCH_CSV_HEADER)
-    for rec in records:
-        print(rec.csv_row())
+    algos = _parse_algos(args.algos, SEARCHERS)
+    p_list = [int(x) for x in args.p_list.split(",")]
+    records = run_bench(algos, p_list, args.t, args.sigma, args.seed, args.reps)
+    with _stdout_writes():
+        print(BENCH_CSV_HEADER)
+        for rec in records:
+            print(rec.csv_row())
     return 0
 
 
@@ -541,7 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError, StateLimitExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

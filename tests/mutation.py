@@ -5,7 +5,8 @@ Each mutant replaces one line of ``src/swapmatch``. The script copies
 the test file that guards the mutated code with the copy first on the
 import path: the conformance harness for the correct engines and the
 oracle, the frozen fixtures of ``test_smalgo.py`` for the knowingly
-flawed SMALGO engines, and ``test_report.py`` for ``MatchReport``. A
+flawed SMALGO engines, ``test_report.py`` for ``MatchReport``, and
+``test_cli.py`` for the CLI's error and output handling. A
 mutant is killed when that run fails. Mutants that cannot change any
 output (they only change how much work is done) carry the reason in
 ``equivalent`` and are expected to survive.
@@ -34,6 +35,7 @@ GUARDS = {
     "conformance": ["tests/test_conformance.py"],
     "smalgo-fixtures": ["tests/test_smalgo.py", "-k", "frozen or fixture"],
     "report": ["tests/test_report.py"],
+    "cli": ["tests/test_cli.py"],
 }
 
 
@@ -133,6 +135,14 @@ MUTANTS = (
            "islice(pos, 1, None)", "islice(pos, 2, None)", "report"),
     Mutant("report-range-checks-first-only", "report.py",
            "for k in (pos[0], pos[-1]):", "for k in (pos[0],):", "report"),
+    # cli: main's error report and _stdout_writes
+    Mutant("closed-pipe-reported-as-error", "cli.py",
+           "if not isinstance(exc, BrokenPipeError):", "if True:", "cli"),
+    Mutant("no-devnull-after-failed-write", "cli.py",
+           "os.dup2(devnull, fd)", "pass", "cli"),
+    Mutant("main-catches-only-valueerror", "cli.py",
+           "except (ValueError, OSError, StateLimitExceeded) as exc:",
+           "except ValueError as exc:", "cli"),
 )
 
 

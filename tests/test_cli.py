@@ -2,7 +2,9 @@
 
 import argparse
 import csv
+import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,11 +12,16 @@ from pathlib import Path
 
 import pytest
 
+from swapmatch import smalgo
 from swapmatch.cli import PRINT_BATCH, _print_report, _read_text_input, main
 from swapmatch.report import MatchReport
 from swapmatch.smalgo import SEARCHERS
 
 DATA = Path(__file__).parent / "data"
+
+# stdout block-buffered, as it is by default: data left in the buffer after
+# a failed write is flushed again at interpreter exit
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def invoke(argv, stdin_bytes=None):
@@ -148,25 +155,84 @@ def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
     assert got == capsys.readouterr().out
 
 
-def test_search_closed_pipe_exit_zero(tmp_path):
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # ~1.3 MB of output, far more than a pipe holds
+        (["search", "--file", "AB_FILE", "--pattern", "abab"], b"1\n"),
+        # ~148 KB
+        (["verify", "--mode", "exhaustive", "--algos", "smalgo1", "--sigma", "ab",
+          "--p-max", "4", "--t-max", "8"],
+         b"algo=smalgo1 pairs=15300 discrepancies=3846\n"),
+    ],
+    ids=["search", "verify"],
+)
+def test_search_closed_pipe_exit_zero(argv, first_line, tmp_path):
     path = tmp_path / "ab.txt"
-    path.write_bytes(b"ab" * 100_000)  # ~1.3 MB of output, far more than a pipe holds
+    path.write_bytes(b"ab" * 100_000)
+    argv = [str(path) if a == "AB_FILE" else a for a in argv]
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "wb") as err:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "swapmatch.cli", "search", "--file", str(path),
-             "--pattern", "abab"],
+            [sys.executable, "-m", "swapmatch.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=err,
+            env=BUFFERED_ENV,
         )
         try:
-            assert proc.stdout.readline() == b"1\n"
+            assert proc.stdout.readline() == first_line
             proc.stdout.close()
             code = proc.wait(timeout=300)
         finally:
             proc.kill()
     assert code == 0
     assert err_path.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--pattern", "a", "--text", "aaaa"],
+        ["dfa-growth", "--k-max", "3"],
+        ["flaw-demo"],
+        ["verify", "--algos", "smalgo1", "--p-min", "4", "--p-max", "4",
+         "--t-min", "4", "--t-max", "4", "--fixture-out", "/dev/full"],
+    ],
+    ids=["search", "dfa-growth", "flaw-demo", "verify-fixture"],
+)
+def test_failed_write_exit_two(argv):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "swapmatch.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=BUFFERED_ENV,
+            timeout=300,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_verify_failure_keeps_exit_two_at_closed_pipe(monkeypatch, capsys):
+    # a gsm that reports nothing disagrees with the oracle, so verify fails;
+    # a reader that stops early must not turn that into success
+    monkeypatch.setitem(
+        smalgo.SEARCHERS, "gsm", lambda p, t: MatchReport("gsm", (), len(p), len(t))
+    )
+    smalgo._reported_positions.cache_clear()
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["verify", "--algos", "gsm", "--p-max", "2", "--t-max", "3"]) == 2
+    finally:
+        smalgo._reported_positions.cache_clear()
+    assert capsys.readouterr().err == ""
 
 
 def test_search_fasta_strips_headers():
@@ -374,6 +440,10 @@ def test_verify_cap_violation_exit_two():
         ["--algos", "smalgo1,smalgo1"],
         ["--mode", "random", "--algos", "gsm,smalgo1,gsm"],
         ["--t-min", "7", "--t-max", "6"],
+        # fixture records are tab-separated, one per line
+        ["--sigma", "a\tb"],
+        ["--mode", "random", "--sigma", "a\nb"],
+        ["--sigma", "ab\r"],
     ],
 )
 def test_verify_bad_lengths_exit_two(argv, capsys):
