@@ -87,10 +87,13 @@ def _window_matches(pattern, text, k0: int) -> bool:
 
 
 def oracle_match_at(pattern: str | bytes, text: str | bytes, k: int) -> bool:
-    """True iff some swapped version of the pattern equals text[k : k+p-1] (1-based k)."""
+    """True iff some swapped version of the pattern equals text[k : k+p-1] (1-based k).
+
+    Takes the inputs every searcher takes (:func:`check_search_inputs`)
+    and raises ``ValueError`` for a position outside 1..t-p+1.
+    """
+    check_search_inputs(pattern, text)
     p, t = len(pattern), len(text)
-    if p == 0:
-        raise ValueError("pattern must be non-empty")
     if not 1 <= k <= t - p + 1:
         raise ValueError(f"position {k} outside 1..{t - p + 1}")
     return _window_matches(pattern, text, k - 1)

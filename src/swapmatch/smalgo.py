@@ -2,7 +2,8 @@
 
 SMALGO-I filters a Shift-And run with degenerate symbol masks plus
 triplet path masks over the pattern graph; SMALGO-II replaces the
-triplets with edge-pair masks and up/down/middle change masks. Both rest
+triplets with up/down/middle masks of where each labeled edge lands,
+and filters columns by the union of those three. Both rest
 on the assumption that consecutive locally-feasible triplets (or pairs)
 share vertices, which is false, so both report false positives (for
 example pattern ``abab`` over text ``aaba``). This module reproduces that behavior
@@ -11,9 +12,9 @@ against the brute-force oracle, running the oracle once per pair for
 every algorithm it checks, and :func:`find_discrepancies` is its
 one-algorithm form.
 
-Both searches read one int table, :class:`SmalgoMasks`, built straight
-from the pattern by :func:`smalgo_precompute`, with pattern column c at
-bit c - 1 in both engines.
+Both searches read one set of six int tables, :class:`SmalgoMasks`,
+built straight from the pattern in one pass by :func:`smalgo_precompute`,
+with pattern column c at bit c - 1 in both engines.
 
 SMALGO-II here follows the repaired form of the original pseudocode
 (initialization and indexing fixed); the repairs do not remove the
@@ -43,11 +44,12 @@ class SmalgoMasks:
 
     ``dtilde[x]`` marks columns whose degenerate symbol set contains x
     (supersets of the plain masks). ``pmask3[(x1,x2,x3)]`` marks columns
-    that sit mid-path on a labeled triplet. The pair masks drive
-    SMALGO-II: ``pmask2`` marks columns entered by an edge labeled
-    (x, y), and ``up``/``down``/``middle`` mark columns where that edge
-    lands on row -1 / +1 / 0. Column 1 is set in every ``pmask3`` and
-    ``pmask2`` entry, and a triple or pair with no entry reads as 1.
+    that sit mid-path on a labeled triplet; column 1 is set in every
+    entry, and a triple with no entry reads as 1. The pair masks drive
+    SMALGO-II: ``up``/``down``/``middle`` mark the columns where an edge
+    labeled (x, y) lands on row -1 / +1 / 0. An edge enters column c
+    exactly when it lands on one of those rows there, so SMALGO-II's
+    column filter for the pair is their union plus column 1.
 
     Both searches and ``flaw-demo`` read these ints; :meth:`pmask3_for`
     returns one triplet mask as a ``BitVector``, the form in which the
@@ -57,7 +59,6 @@ class SmalgoMasks:
     p: int
     dtilde: dict[object, int]
     pmask3: dict[Triple, int]
-    pmask2: dict[Pair, int]
     up: dict[Pair, int]
     down: dict[Pair, int]
     middle: dict[Pair, int]
@@ -84,7 +85,6 @@ def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
     ] + [()]
     dtilde: dict = {}
     pmask3: dict = {}
-    pmask2: dict = {}
     rows: dict[int, dict] = {-1: {}, 0: {}, 1: {}}  # up, middle, down
     for c in range(1, p + 1):
         bit = 1 << (c - 1)
@@ -95,18 +95,16 @@ def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
                 if (r2 == -1) != (r1 == 1):
                     continue
                 pair = (x, y)
-                pmask2[pair] = pmask2.get(pair, 0) | bit
                 lands = rows[r2]
                 lands[pair] = lands.get(pair, 0) | bit
                 for r3, z in columns[c + 1]:
                     if (r3 == -1) == (r2 == 1):
                         triple = (x, y, z)
-                        pmask3[triple] = pmask3.get(triple, 0) | bit
+                        pmask3[triple] = pmask3.get(triple, 1) | bit
     return SmalgoMasks(
         p=p,
         dtilde=dtilde,
-        pmask3={key: v | 1 for key, v in pmask3.items()},
-        pmask2={key: v | 1 for key, v in pmask2.items()},
+        pmask3=pmask3,
         up=rows[-1],
         down=rows[1],
         middle=rows[0],
@@ -196,7 +194,12 @@ def smalgo1_trace(pattern: str | bytes, text: str | bytes):
 
 
 def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
-    """Corrected SMALGO-II positions (the false positives survive)."""
+    """Corrected SMALGO-II positions (the false positives survive).
+
+    Each text pair (x, y) keeps the columns an edge labeled (x, y)
+    enters, plus column 1: an edge enters column c exactly when it lands
+    on row -1, 0 or +1 there, so the filter is ``u | dn | mi | 1``.
+    """
     check_search_inputs(pattern, text)
     p, t = len(pattern), len(text)
     if p == 1:
@@ -205,24 +208,23 @@ def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
         return MatchReport("smalgo2", (), p, t)
 
     masks = smalgo_precompute(pattern)
-    dt, pm2 = masks.dtilde, masks.pmask2
+    dt = masks.dtilde
     up, down, middle = masks.up, masks.down, masks.middle
 
     last = 1 << (p - 1)
     positions: list[int] = []
 
-    # A bit shifted past column p is cleared by the next ``r &= pm & d``.
+    # A bit shifted past column p is cleared by the next column filter.
     r = (1 & dt.get(text[0], 0)) << 1
     checkup = checkdown = 0
     for j in range(t - 1):
         pair = (text[j], text[j + 1])
         d = dt.get(text[j + 1], 0)
-        pm = pm2.get(pair, 1)
         u = up.get(pair, 0)
         dn = down.get(pair, 0)
         mi = middle.get(pair, 0)
 
-        r &= pm & d
+        r &= (u | dn | mi | 1) & d
         r &= ~checkup | dn | mi
         checkup = (u & ~dn & ~mi) << 1
         r &= ~checkdown | u
@@ -246,14 +248,16 @@ SEARCHERS = {
 
 
 @functools.lru_cache(maxsize=1)
-def _reported_positions(algorithm: str, pattern, text) -> frozenset:
-    """The positions an algorithm reports on one pair.
+def _reported_positions(search, pattern, text) -> frozenset:
+    """The positions one search function reports on one pair.
 
-    One entry is enough: :func:`compare_with_oracle` emits all records of
-    an algorithm on a pair one after another, so each such pair is
-    searched once more, not once per record.
+    Keyed on the function, not on a name, so an engine replaced in
+    ``SEARCHERS`` is searched afresh. One entry is enough:
+    :func:`compare_with_oracle` emits all records of an algorithm on a
+    pair one after another, so each such pair is searched once more, not
+    once per record.
     """
-    return frozenset(SEARCHERS[algorithm](pattern, text).positions)
+    return frozenset(search(pattern, text).positions)
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,10 @@ class Discrepancy:
     def __post_init__(self) -> None:
         if self.kind not in ("false-positive", "false-negative"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        reported = self.position in _reported_positions(self.algorithm, self.pattern, self.text)
+        search = SEARCHERS.get(self.algorithm)
+        if search is None:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        reported = self.position in _reported_positions(search, self.pattern, self.text)
         # raises ValueError for a position outside the text, which no
         # genuine record can hold
         truth = oracle_match_at(self.pattern, self.text, self.position)

@@ -113,7 +113,13 @@ MUTANTS = (
            "if (r2 == -1) != (r1 == 1):", "if (r2 == -1) == (r1 == 1):",
            "smalgo-fixtures"),
     Mutant("smalgo-pmask3-without-bit-one", "smalgo.py",
-           "pmask3={key: v | 1 for", "pmask3={key: v for", "smalgo-fixtures"),
+           "pmask3.get(triple, 1) | bit", "pmask3.get(triple, 0) | bit",
+           "smalgo-fixtures"),
+    # smalgo.smalgo2_search: the column filter read from the landing rows
+    Mutant("smalgo2-filter-drops-middle", "smalgo.py",
+           "r &= (u | dn | mi | 1) & d", "r &= (u | dn | 1) & d", "smalgo-fixtures"),
+    Mutant("smalgo2-filter-drops-column-one", "smalgo.py",
+           "r &= (u | dn | mi | 1) & d", "r &= (u | dn | mi) & d", "smalgo-fixtures"),
     # dfa.minimize (the conformance dfa engine)
     Mutant("minimize-stops-after-one-round", "dfa.py",
            "if len(ids) == n_blocks:", "if True:", "conformance"),

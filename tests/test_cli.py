@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from swapmatch import smalgo
 from swapmatch.cli import PRINT_BATCH, _print_report, _read_text_input, main
 from swapmatch.report import MatchReport
 from swapmatch.smalgo import SEARCHERS
@@ -224,14 +223,10 @@ def test_verify_failure_keeps_exit_two_at_closed_pipe(monkeypatch, capsys):
     # a gsm that reports nothing disagrees with the oracle, so verify fails;
     # a reader that stops early must not turn that into success
     monkeypatch.setitem(
-        smalgo.SEARCHERS, "gsm", lambda p, t: MatchReport("gsm", (), len(p), len(t))
+        SEARCHERS, "gsm", lambda p, t: MatchReport("gsm", (), len(p), len(t))
     )
-    smalgo._reported_positions.cache_clear()
-    try:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
-        assert main(["verify", "--algos", "gsm", "--p-max", "2", "--t-max", "3"]) == 2
-    finally:
-        smalgo._reported_positions.cache_clear()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["verify", "--algos", "gsm", "--p-max", "2", "--t-max", "3"]) == 2
     assert capsys.readouterr().err == ""
 
 

@@ -104,6 +104,15 @@ def test_match_at_range_errors():
         oracle_match_at("abc", "ab", 1)  # pattern longer than text
 
 
+def test_match_at_takes_the_search_inputs():
+    with pytest.raises(ValueError):
+        oracle_match_at("", "ab", 1)
+    with pytest.raises(TypeError):
+        oracle_match_at("ab", b"ab", 1)
+    with pytest.raises(TypeError):
+        oracle_match_at(b"ab", "ab", 1)
+
+
 def test_search_flaw_instance_rejects():
     assert oracle_search("abab", "aaba").positions == ()
 

@@ -8,7 +8,9 @@ import pytest
 from swapmatch.bitvec import BitVector
 from swapmatch.model import build_pgraph
 from swapmatch.oracle import oracle_search
+from swapmatch.report import MatchReport
 from swapmatch.smalgo import (
+    SEARCHERS,
     Discrepancy,
     compare_with_oracle,
     exhaustive_strings,
@@ -75,8 +77,10 @@ def _graph_walk_tables(pattern):
     """The SMALGO masks by walking the pattern graph, column c at bit c - 1.
 
     The reference construction: degenerate masks from the column labels,
-    pair masks from every edge, triplet masks from every edge and each
-    successor of its head.
+    pair and landing-row masks from every edge, triplet masks from every
+    edge and each successor of its head. Returns the ``SmalgoMasks``
+    fields and, apart, the pair masks (columns an edge labeled (x, y)
+    enters, column 1 set), which SMALGO-II reads from the landing rows.
     """
     p = len(pattern)
     graph = build_pgraph(pattern)
@@ -98,15 +102,15 @@ def _graph_walk_tables(pattern):
             for w in successors[v]:
                 key = (x, y, labels[w])
                 pmask3[key] = pmask3.get(key, 0) | bit
-    return {
+    tables = {
         "p": p,
         "dtilde": dtilde,
         "pmask3": {key: v | 1 for key, v in pmask3.items()},
-        "pmask2": {key: v | 1 for key, v in pmask2.items()},
         "up": lands[-1],
         "down": lands[1],
         "middle": lands[0],
     }
+    return tables, {key: v | 1 for key, v in pmask2.items()}
 
 
 def _table_patterns():
@@ -117,7 +121,14 @@ def _table_patterns():
 def test_int_tables_equal_graph_walk():
     checked = 0
     for pattern in _table_patterns():
-        assert vars(smalgo_precompute(pattern)) == _graph_walk_tables(pattern), pattern
+        masks = smalgo_precompute(pattern)
+        tables, pmask2 = _graph_walk_tables(pattern)
+        assert vars(masks) == tables, pattern
+        # SMALGO-II's column filter: the landing rows plus column 1 give
+        # the pair mask, and a pair with no edge reads 1
+        for pair in itertools.product({*pattern, None}, repeat=2):
+            lands = masks.up.get(pair, 0) | masks.down.get(pair, 0) | masks.middle.get(pair, 0)
+            assert lands | 1 == pmask2.get(pair, 1), (pattern, pair)
         checked += 1
     assert checked == sum(3**p for p in range(2, 8)) + 5
 
@@ -290,10 +301,26 @@ def test_discrepancy_reverifies_on_construction():
         Discrepancy("gsm", "abab", "aaba", 1, "false-positive")
     with pytest.raises(ValueError):
         Discrepancy("smalgo1", "abab", "aaba", 1, "nonsense")
+    with pytest.raises(ValueError):
+        Discrepancy("nope", "abab", "aaba", 1, "false-positive")
     for position in (0, 2):  # outside 1..t-p+1
         for kind in ("false-positive", "false-negative"):
             with pytest.raises(ValueError):
                 Discrepancy("smalgo1", "abab", "aaba", position, kind)
+
+
+def test_reverify_searches_a_replaced_engine_afresh(monkeypatch):
+    # the re-check must re-run the engine that reported, not one it
+    # remembers under the same name
+    pairs = [("abab", "aabab")]
+    monkeypatch.setitem(
+        SEARCHERS, "smalgo1", lambda p, t: MatchReport("smalgo1", (), len(p), len(t))
+    )
+    missed = compare_with_oracle(pairs, ["smalgo1"])["smalgo1"].discrepancies
+    assert [(d.position, d.kind) for d in missed] == [(2, "false-negative")]
+    monkeypatch.undo()
+    found = compare_with_oracle(pairs, ["smalgo1"])["smalgo1"].discrepancies
+    assert [(d.position, d.kind) for d in found] == [(1, "false-positive")]
 
 
 def test_fixture_round_trip():
