@@ -12,11 +12,15 @@ error a command raises (bad input, a failed read or write, a state cap
 reached) into an ``error:`` line on stderr and exit 2. Each command
 writes to stdout inside ``_stdout_writes``, so a reader that closes early
 (``| head``) ends the output quietly and the command keeps its exit code.
+``search --algo gsm`` streams: it reads its input in chunks and prints
+each scan's positions as the scan ends, so its memory does not grow with
+the input (with ``--format jsonl``, it grows with the matches).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -36,6 +40,7 @@ from .dfa import (
     growth_table,
     minimize,
 )
+from .gsm import BLOCK, gsm_scans
 from .model import build_pgraph
 from .oracle import oracle_search
 from .report import MatchReport
@@ -61,6 +66,12 @@ WORD_BITS = 64
 
 # positions formatted and written per stdout write in search
 PRINT_BATCH = 4096
+
+# bytes read per chunk by search: one GSM block
+READ_CHUNK = BLOCK
+
+# longest text, in symbols, that the algos other than gsm read whole
+MAX_READ_ALL = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -217,39 +228,102 @@ def flaw_demo_text() -> str:
 
 # -- input plumbing --------------------------------------------------------------
 
-def _read_text_input(args) -> bytes:
+class ReadError(Exception):
+    """A read of the search input failed; the ``OSError`` is its one argument.
+
+    ``search --algo gsm`` reads as it prints, inside ``_stdout_writes``,
+    which takes an ``OSError`` for a failed write; a failed read must not
+    pass for one.
+    """
+
+
+def _read_chunks(args) -> Iterator[bytes]:
+    """The text of ``search`` as it is read, ``READ_CHUNK`` bytes at a time.
+
+    ``--file`` is opened here, before the first chunk is asked for, so a
+    bad path fails before any output.
+    """
     if args.text is not None:
-        data = args.text.encode("latin-1")
+        fh, close = io.BytesIO(args.text.encode("latin-1")), True
     elif args.file is not None:
-        with open(args.file, "rb") as fh:
-            data = fh.read()
+        fh, close = open(args.file, "rb"), True
+    elif sys.stdin is None:  # started with stdin closed
+        raise ValueError("no input: give --text or --file, or open stdin")
     else:
-        data = sys.stdin.buffer.read()
-    if args.fasta:
-        data = _strip_fasta_headers(data)
-    if args.fasta or args.strip_newlines:
-        data = data.translate(None, b"\r\n")
-    return data
+        fh, close = sys.stdin.buffer, False
+    return _chunks(fh, close, args.fasta, args.fasta or args.strip_newlines)
+
+
+def _chunks(fh, close: bool, fasta: bool, strip: bool) -> Iterator[bytes]:
+    """Read ``fh`` to its end, ``READ_CHUNK`` bytes at a time, and yield each chunk.
+
+    With ``fasta`` every line that starts with ">" is cut, the FASTA state
+    carried from chunk to chunk; with ``strip`` every CR and LF is then
+    deleted. ``fh`` is closed at the end if ``close``.
+    """
+    in_header, line_start = False, True
+    with fh if close else nullcontext():
+        while True:
+            try:
+                chunk = fh.read(READ_CHUNK)
+            except OSError as exc:
+                raise ReadError(exc) from exc
+            if not chunk:
+                return
+            if fasta:
+                chunk, in_header, line_start = _strip_fasta_headers(chunk, in_header, line_start)
+            if strip:
+                chunk = chunk.translate(None, b"\r\n")
+            yield chunk
+
+
+def _read_text_input(args) -> bytes:
+    """The whole text of ``search``, for the algos that do not stream.
+
+    Raises ``ValueError`` as soon as more than ``MAX_READ_ALL`` symbols
+    have been read.
+    """
+    chunks = []
+    size = 0
+    for chunk in _read_chunks(args):
+        size += len(chunk)
+        if size > MAX_READ_ALL:
+            raise ValueError(
+                f"input longer than {MAX_READ_ALL} symbols; only --algo gsm streams its input"
+            )
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 # a ">" and the rest of its line; a header only when the ">" starts the line
 _HEADER = re.compile(rb">[^\r\n]*")
+_LINE_END = re.compile(rb"[\r\n]")
 
 
-def _strip_fasta_headers(data: bytes) -> bytes:
-    """Cut out every line that starts with ">"; line ends (LF, CR) stay.
+def _strip_fasta_headers(
+    chunk: bytes, in_header: bool, line_start: bool
+) -> tuple[bytes, bool, bool]:
+    """Cut out of one chunk of a stream every line that starts with ">".
 
-    A ">" inside a line is kept, and so is the rest of that line.
+    Line ends (LF, CR) stay. A ">" inside a line is kept, and so is the
+    rest of that line. Two facts carry across a cut: the chunk before
+    ended inside a header line (``in_header``), or it ended in CR or LF,
+    so that this chunk starts a line (``line_start``). The first chunk
+    passes ``False, True``. Returns the kept bytes and the two facts at
+    the end of this chunk. The chunk must not be empty.
     """
-    parts = []
     keep = 0
-    for m in _HEADER.finditer(data):
+    if in_header:
+        end = _LINE_END.search(chunk)
+        keep = end.start() if end else len(chunk)
+    parts = []
+    for m in _HEADER.finditer(chunk, keep):
         k = m.start()
-        if k == 0 or data[k - 1] in b"\r\n":
-            parts.append(data[keep:k])
+        if chunk[k - 1] in b"\r\n" if k else line_start:
+            parts.append(chunk[keep:k])
             keep = m.end()
-    parts.append(data[keep:])
-    return b"".join(parts)
+    parts.append(chunk[keep:])
+    return b"".join(parts), keep == len(chunk), chunk[-1] in b"\r\n"
 
 
 def _print_report(report: MatchReport, fmt: str) -> None:
@@ -290,8 +364,9 @@ def _stdout_writes() -> Iterator[None]:
     A reader that has gone (``| head``) ends the output quietly; any other
     failed write is re-raised for ``main`` to report. Either way stdout's
     file descriptor, if any, is first pointed at the null device, so the
-    flush at interpreter exit cannot fail again. Hold only writes in the
-    block: an ``OSError`` from it is taken for a failed write.
+    flush at interpreter exit cannot fail again. An ``OSError`` from the
+    block is taken for a failed write, so the block holds only writes and
+    reads that raise ``ReadError`` for a failed read (``_chunks``).
     """
     try:
         yield
@@ -310,10 +385,42 @@ def cmd_search(args) -> int:
     pattern = args.pattern.encode("latin-1")
     if not pattern:
         raise ValueError("pattern must be non-empty")
+    if args.algo == "gsm":
+        return _search_stream(pattern, args)
     report = SEARCHERS[args.algo](pattern, _read_text_input(args))
     with _stdout_writes():
         _print_report(report, args.format)
     return 0 if report.positions else 1
+
+
+def _search_stream(pattern: bytes, args) -> int:
+    """``search --algo gsm``: read, scan and print one scan at a time.
+
+    Each scan's positions are checked as a ``MatchReport`` over the
+    symbols read so far, and the first of them must follow the last one
+    printed. A jsonl line carries the text length, known only at the end,
+    so jsonl positions are held and printed as one report: the one case
+    whose memory grows with the matches.
+    """
+    scans = gsm_scans(pattern, _read_chunks(args))
+    p = len(pattern)
+    last = 0
+    held: list[int] = []
+    with _stdout_writes():
+        for scanned, positions in scans:
+            if args.format == "jsonl":
+                held += positions
+            elif positions:
+                report = MatchReport("gsm", positions, p, scanned)
+                if positions[0] <= last:
+                    raise ValueError(
+                        f"positions not strictly increasing: {positions[0]} follows {last}"
+                    )
+                last = positions[-1]
+                _print_report(report, "text")
+        if held:
+            _print_report(MatchReport("gsm", held, p, scanned), "jsonl")
+    return 0 if last or held else 1
 
 
 def _space_size(sigma: int, lo: int, hi: int) -> int:
@@ -540,7 +647,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, StateLimitExceeded) as exc:
+    except (ValueError, OSError, ReadError, StateLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

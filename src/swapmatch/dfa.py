@@ -107,30 +107,6 @@ def determinize(
     return Dfa(alphabet=alpha, transitions=tuple(table), accepting=accepting)
 
 
-def dfa_accepts(dfa: Dfa, s: str | bytes | Iterable) -> bool:
-    index = {x: i for i, x in enumerate(dfa.alphabet)}
-    state = dfa.start
-    for x in s:
-        state = dfa.transitions[state][index[x]]
-    return state in dfa.accepting
-
-
-def dfa_scan_ends(dfa: Dfa, text: str | bytes) -> list[int]:
-    """1-based positions where a prefix of the text lands in an accepting state.
-
-    For a swap NFA's DFA these are match END positions; subtracting p-1
-    gives the start positions the searchers report.
-    """
-    index = {x: i for i, x in enumerate(dfa.alphabet)}
-    state = dfa.start
-    out = []
-    for n, x in enumerate(text, 1):
-        state = dfa.transitions[state][index[x]]
-        if state in dfa.accepting:
-            out.append(n)
-    return out
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """Moore partition refinement; returns the canonical minimal DFA.
 

@@ -9,7 +9,8 @@ linear in the text for patterns up to the word size and degrades only by
 the word count beyond.
 
 ``gsm_step`` is the literal per-symbol round over :class:`BitVector`
-values, kept as the reference. ``gsm_search``/``gsm_search_stream`` run
+values, kept as the reference. ``gsm_scans``, the one scan loop behind
+``gsm_search``, ``gsm_search_stream`` and ``search --algo gsm``, runs
 the same recurrence transposed, for speed: bit-parallel over blocks of
 text positions, one pattern column at a time, so Python pays per column
 and per block instead of per symbol. A block carries to the next one the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from binascii import a2b_hex
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .bitvec import BitVector
@@ -290,25 +291,18 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
     return j, ca, cb
 
 
-def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
-    """All 1-based positions where the pattern swap-matches the text."""
-    check_search_inputs(pattern, text)
-    out: list[int] = []
-    _scan_chunk(_mask_triples(pattern), 0, len(pattern), text, 0, 0, out)
-    return MatchReport("gsm", tuple(out), len(pattern), len(text))
-
-
-def gsm_search_stream(
+def gsm_scans(
     pattern: str | bytes, chunks: Iterable[str | bytes]
-) -> Iterator[int]:
-    """Stream variant: match positions for the concatenation of the chunks.
+) -> Iterator[tuple[int, list[int]]]:
+    """The one GSM scan loop: yields ``(symbols scanned, positions)`` per scan.
 
     Chunks are gathered until at least ``BLOCK`` symbols are pending, and
     then all of them are scanned: whole blocks and at most one short one,
     whose state the carries take on to the next scan. So no chunk is cut,
     each scan covers at least one block, and memory stays bounded by one
-    block plus one chunk. Positions are yielded once the scan holding
-    their last symbol is done (at the latest when the chunks run out).
+    block plus one chunk, and one scan's positions. A scan's positions
+    are those whose window ends in it, ascending, and every later scan's
+    come after them.
     """
     p = len(pattern)
     if p == 0:
@@ -330,7 +324,32 @@ def gsm_search_stream(
         j, a, b = _scan_chunk(table, j, p, join(pending), a, b, out)
         pending = []
         size = 0
+        yield j, out
+    if size:
+        out = []
+        j, a, b = _scan_chunk(table, j, p, join(pending), a, b, out)
+        yield j, out
+
+
+def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
+    """All 1-based positions where the pattern swap-matches the text.
+
+    ``gsm_scans`` over the one chunk ``text``; joining one chunk
+    returns it as it is, so nothing is copied.
+    """
+    check_search_inputs(pattern, text)
+    positions = tuple(chain.from_iterable(out for _, out in gsm_scans(pattern, (text,))))
+    return MatchReport("gsm", positions, len(pattern), len(text))
+
+
+def gsm_search_stream(
+    pattern: str | bytes, chunks: Iterable[str | bytes]
+) -> Iterator[int]:
+    """Stream variant: match positions for the concatenation of the chunks.
+
+    Memory stays bounded by one block plus one chunk (see ``gsm_scans``).
+    Positions are yielded once the scan holding their last symbol is
+    done, at the latest when the chunks run out.
+    """
+    for _, out in gsm_scans(pattern, chunks):
         yield from out
-    out = []
-    _scan_chunk(table, j, p, join(pending), a, b, out)
-    yield from out

@@ -100,7 +100,7 @@ MUTANTS = (
     Mutant("extract-compress-off-by-one", "gsm.py",
            "positions = range(first, first + len(bits))",
            "positions = range(first + 1, first + 1 + len(bits))", "conformance"),
-    # gsm.gsm_search_stream
+    # gsm.gsm_scans: the one scan loop behind gsm_search, the stream and the CLI
     Mutant("stream-scans-every-chunk", "gsm.py",
            "if size < BLOCK:", "if size < 1:", "conformance",
            "the carries take the state across any cut, so smaller scans give the "
@@ -147,8 +147,15 @@ MUTANTS = (
     Mutant("no-devnull-after-failed-write", "cli.py",
            "os.dup2(devnull, fd)", "pass", "cli"),
     Mutant("main-catches-only-valueerror", "cli.py",
-           "except (ValueError, OSError, StateLimitExceeded) as exc:",
+           "except (ValueError, OSError, ReadError, StateLimitExceeded) as exc:",
            "except ValueError as exc:", "cli"),
+    Mutant("read-error-taken-for-write-error", "cli.py",
+           "raise ReadError(exc) from exc", "raise", "cli"),
+    # cli._strip_fasta_headers: the FASTA state carried across a chunk cut
+    Mutant("fasta-in-header-not-carried", "cli.py",
+           "if in_header:", "if False:", "cli"),
+    Mutant("fasta-chunk-start-is-line-start", "cli.py",
+           "if k else line_start:", "if k else True:", "cli"),
 )
 
 

@@ -5,7 +5,9 @@ generic subset construction.
 states. The tests check it against the textbook route kept here: build
 the NFA whose start state self-loops on the alphabet and feeds the
 pattern graph, then determinize it over frozensets of NFA states. The
-conformance ``dfa`` engine is built here too, so it does not rest on GSM.
+conformance ``dfa`` engine is built here too, so it does not rest on GSM,
+and so are the two runners that read a DFA table over a text
+(``dfa_accepts``, ``dfa_scan_ends``).
 """
 
 from __future__ import annotations
@@ -113,3 +115,28 @@ def dfa_to_nfa(dfa: Dfa) -> Nfa:
         transitions=transitions,
         accepting=dfa.accepting,
     )
+
+
+def dfa_accepts(dfa: Dfa, s: str | bytes | Iterable) -> bool:
+    """Run the DFA over one input string; True if it ends in an accepting state."""
+    index = {x: i for i, x in enumerate(dfa.alphabet)}
+    state = dfa.start
+    for x in s:
+        state = dfa.transitions[state][index[x]]
+    return state in dfa.accepting
+
+
+def dfa_scan_ends(dfa: Dfa, text: str | bytes) -> list[int]:
+    """1-based positions where a prefix of the text lands in an accepting state.
+
+    For a swap NFA's DFA these are match END positions; subtracting p-1
+    gives the start positions the searchers report.
+    """
+    index = {x: i for i, x in enumerate(dfa.alphabet)}
+    state = dfa.start
+    out = []
+    for n, x in enumerate(text, 1):
+        state = dfa.transitions[state][index[x]]
+        if state in dfa.accepting:
+            out.append(n)
+    return out

@@ -2,17 +2,22 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from swapmatch.cli import PRINT_BATCH, _print_report, _read_text_input, main
+from swapmatch import cli, gsm
+from swapmatch.cli import PRINT_BATCH, _chunks, _print_report, _read_text_input, main
+from swapmatch.oracle import oracle_search
 from swapmatch.report import MatchReport
 from swapmatch.smalgo import SEARCHERS
 
@@ -251,6 +256,30 @@ def _fasta_reference(data: bytes) -> bytes:
     return b"".join(ln for ln in data.splitlines() if not ln.startswith(b">"))
 
 
+class _Pieces:
+    """A file whose reads return the given pieces in turn, then b""."""
+
+    def __init__(self, pieces):
+        self.pieces = iter([c for c in pieces if c])
+
+    def read(self, _n):
+        return next(self.pieces, b"")
+
+
+def _fasta_stripped_in_chunks(chunks) -> bytes:
+    # the CLI's chunk by chunk strip, FASTA state carried across each cut
+    return b"".join(_chunks(_Pieces(chunks), False, True, True))
+
+
+def _cuts(data: bytes, two: bool = True):
+    # every one-cut split, and with ``two`` every two-cut split
+    n = len(data)
+    for i in range(n + 1):
+        yield [data[:i], data[i:]]
+        for j in range(i, n + 1 if two else i):
+            yield [data[:i], data[i:j], data[j:]]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -263,14 +292,207 @@ def _fasta_reference(data: bytes) -> bytes:
     ],
 )
 def test_fasta_strip_equals_line_reference(data):
-    assert _fasta_stripped(data) == _fasta_reference(data)
+    want = _fasta_reference(data)
+    assert _fasta_stripped(data) == want
+    for chunks in _cuts(data):
+        assert _fasta_stripped_in_chunks(chunks) == want, chunks
+    assert _fasta_stripped_in_chunks([data[i:i + 1] for i in range(len(data))]) == want
 
 
 def test_fasta_strip_equals_line_reference_fuzzed():
     rng = random.Random(7)
-    for _ in range(3000):
+    for case in range(3000):
         data = bytes(rng.choice(b"ab>\r\n\x0b\x0c") for _ in range(rng.randint(0, 40)))
-        assert _fasta_stripped(data) == _fasta_reference(data), data
+        want = _fasta_reference(data)
+        assert _fasta_stripped(data) == want, data
+        # two cuts in every tenth case: they are quadratic in the length
+        for chunks in _cuts(data, two=case % 10 == 0):
+            assert _fasta_stripped_in_chunks(chunks) == want, chunks
+
+
+def _multi_record_fasta(seed: int) -> bytes:
+    # records of a/b lines with ">" inside some of them, each line ended
+    # by LF, CRLF or a bare CR, and headers that hold ">" themselves
+    rng = random.Random(seed)
+    lines = []
+    for r in range(6):
+        lines.append(rng.choice([b">rec%d x>y" % r, b">", b">>%d" % r]))
+        for _ in range(rng.randint(0, 12)):
+            lines.append(bytes(rng.choice(b"aab>") for _ in range(rng.randint(1, 9))).lstrip(b">"))
+    ends = [rng.choice([b"\n", b"\r\n", b"\r"]) for _ in lines]
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("read_chunk, block", [(1, 1), (3, 5), (7, 16), (64, 16)])
+def test_search_fasta_in_small_chunks_equals_read_all(read_chunk, block, monkeypatch, capsys):
+    data = _multi_record_fasta(read_chunk)
+    runs = [
+        ["search", "--fasta", "--pattern", pattern, "--format", fmt]
+        for pattern in ("abba", "ab>a", "aabab", "b")
+        for fmt in ("text", "jsonl")
+    ]
+
+    def outputs():
+        got = []
+        for argv in runs:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            got.append((main(argv), capsys.readouterr().out))
+        return got
+
+    # at the default sizes the whole input is one chunk and one scan
+    read_all = outputs()
+    sequence = _fasta_reference(data)
+    for argv, (code, out) in zip(runs, read_all):
+        if argv[-1] == "text":
+            positions = oracle_search(argv[3].encode(), sequence).positions
+            assert out == "".join(f"{k}\n" for k in positions), argv
+            assert code == (0 if positions else 1)
+    monkeypatch.setattr(cli, "READ_CHUNK", read_chunk)
+    monkeypatch.setattr(gsm, "BLOCK", block)
+    assert outputs() == read_all
+
+
+class _Reader:
+    """A stdin buffer that counts its reads and can fail one of them."""
+
+    def __init__(self, data: bytes, fail_at: int = 0, exc: OSError | None = None):
+        self.data, self.at, self.reads = data, 0, 0
+        self.fail_at, self.exc = fail_at, exc
+
+    def read(self, n):
+        self.reads += 1
+        if self.reads == self.fail_at:
+            raise self.exc
+        chunk = self.data[self.at:self.at + n]
+        self.at += len(chunk)
+        return chunk
+
+
+def _stdin(monkeypatch, reader):
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=reader))
+
+
+def test_search_closed_pipe_stops_reading(monkeypatch, capsys):
+    # 16 chunks; the first scan's first write finds the reader gone
+    reader = _Reader(b"ab" * (8 * cli.READ_CHUNK))
+    _stdin(monkeypatch, reader)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["search", "--pattern", "abababab"]) == 0
+    assert reader.reads == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.EIO, "Input/output error"), BrokenPipeError(errno.EPIPE, "Broken pipe")],
+    ids=["eio", "epipe"],
+)
+def test_search_read_error_mid_stream(exc, monkeypatch, capsys, tmp_path):
+    # the second read fails after the first chunk's positions are printed;
+    # a failed read is not a failed write (nor a closed pipe), so stdout
+    # keeps what was printed and the error is reported once
+    _stdin(monkeypatch, _Reader(b"ab" * cli.READ_CHUNK, fail_at=2, exc=exc))
+    out_path = tmp_path / "out.txt"
+    with open(out_path, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["search", "--pattern", "abababab"]) == 2
+    first_scan = range(1, cli.READ_CHUNK - 6)
+    assert out_path.read_text() == "".join(f"{k}\n" for k in first_scan)
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_search_missing_file_fails_before_output(monkeypatch, capsys, tmp_path):
+    missing = tmp_path / "missing.fa"
+    out_path = tmp_path / "out.txt"
+    with open(out_path, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["search", "--pattern", "ab", "--fasta", "--file", str(missing)]) == 2
+        # stdout was not touched: it still writes to its file
+        out.write("after\n")
+    assert out_path.read_text() == "after\n"
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+@pytest.mark.parametrize("algo", ["gsm", "oracle"])
+def test_search_closed_stdin_exit_two(algo, monkeypatch, capsys):
+    # a process started with stdin closed has sys.stdin None
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["search", "--algo", algo, "--pattern", "ab"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no input: give --text or --file, or open stdin\n"
+
+
+@pytest.mark.parametrize("algo", ["bma", "oracle", "smalgo1", "smalgo2"])
+def test_search_read_all_algos_refuse_long_input(algo, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_READ_ALL", 10)
+    monkeypatch.setattr(cli, "READ_CHUNK", 4)
+    reader = _Reader(b"ab" * 50)
+    _stdin(monkeypatch, reader)
+    assert main(["search", "--algo", algo, "--pattern", "ab"]) == 2
+    # refused while reading: at the third chunk, not at the end of the input
+    assert reader.reads == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: input longer than 10 symbols; only --algo gsm streams its input\n"
+    )
+    # up to the cap the input is read, and gsm has no cap
+    for argv, text in ((["--algo", algo], b"ab" * 5), ([], b"ab" * 50)):
+        _stdin(monkeypatch, _Reader(text))
+        assert main(["search", "--pattern", "ab", *argv]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+
+def _traced_peak(argv, out_path) -> int:
+    with open(out_path, "w") as out:
+        stdout, sys.stdout = sys.stdout, out
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.stdout = stdout
+
+
+def _planted_fasta(n: int, pattern: bytes, rng: random.Random):
+    sequence = bytearray(rng.randbytes(n).translate(bytes(b"ACGT"[i % 4] for i in range(256))))
+    starts = sorted(rng.sample(range(0, n - len(pattern), len(pattern)), 8))
+    for k in starts:
+        sequence[k:k + len(pattern)] = pattern
+    records = (sequence[: n // 2], sequence[n // 2 :])
+    lines = [
+        b">chr%d planted\n" % i + b"\n".join(r[j:j + 60] for j in range(0, len(r), 60))
+        for i, r in enumerate(records, 1)
+    ]
+    return b"\n".join(lines) + b"\n", [k + 1 for k in starts]
+
+
+def test_search_memory_does_not_grow_with_input(tmp_path):
+    # the traced peak of search holds one read chunk, one block and one
+    # scan's positions, whatever the input size. A dense text prints one
+    # position per symbol and costs about 4 us per position under
+    # tracemalloc, so its sizes are smaller (8x apart all the same).
+    rng = random.Random(16)
+    pattern = rng.randbytes(64).translate(bytes(b"ACGT"[i % 4] for i in range(256)))
+    out_path = tmp_path / "out.txt"
+    peaks = {}
+    for n in (1 << 20, 8 << 20):
+        fasta, starts = _planted_fasta(n, pattern, rng)
+        path = tmp_path / "planted.fa"
+        path.write_bytes(fasta)
+        argv = ["search", "--fasta", "--file", str(path), "--pattern", pattern.decode()]
+        peaks["acgt", n] = _traced_peak(argv, out_path)
+        assert out_path.read_text() == "".join(f"{k}\n" for k in starts)
+    for n in (1 << 16, 1 << 19):
+        path = tmp_path / "ab.txt"
+        path.write_bytes(b"ab" * (n // 2))
+        argv = ["search", "--file", str(path), "--pattern", "abababab", "--format", "text"]
+        peaks["ab", n] = _traced_peak(argv, out_path)
+        assert out_path.stat().st_size == len("".join(f"{k}\n" for k in range(1, n - 6)))
+    assert peaks["acgt", 8 << 20] - peaks["acgt", 1 << 20] < 1 << 20, peaks
+    assert peaks["ab", 1 << 19] - peaks["ab", 1 << 16] < 1 << 20, peaks
 
 
 def test_search_strip_newlines():

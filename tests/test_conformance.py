@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from swapmatch.dfa import dfa_scan_ends, minimize
+from swapmatch.dfa import minimize
 from swapmatch.gsm import (
     BLOCK,
     REBASE_COLUMN,
@@ -34,7 +34,7 @@ from swapmatch.model import bma_search
 from swapmatch.oracle import oracle_search
 from swapmatch.smalgo import SEARCHERS, exhaustive_strings
 
-from nfa_reference import build_swap_nfa, reference_determinize
+from nfa_reference import build_swap_nfa, dfa_scan_ends, reference_determinize
 
 # symbols any instance below may use; the DFA reads only its alphabet
 ALPHABET = "abcd"

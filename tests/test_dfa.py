@@ -10,8 +10,6 @@ from swapmatch.dfa import (
     Dfa,
     StateLimitExceeded,
     determinize,
-    dfa_accepts,
-    dfa_scan_ends,
     growth_csv,
     growth_table,
     minimize,
@@ -25,6 +23,8 @@ from swapmatch.oracle import oracle_match_at
 from nfa_reference import (
     Nfa,
     build_swap_nfa,
+    dfa_accepts,
+    dfa_scan_ends,
     dfa_to_nfa,
     nfa_accepts,
     reference_determinize,

@@ -52,7 +52,7 @@ def traced(tmp_path, argv):
     return json.loads(proc.stdout)
 
 
-def test_search_records_scan_spans(tmp_path):
+def test_search_stream_records_scan_spans(tmp_path):
     text = tmp_path / "text.txt"
     text.write_bytes(b"acgt" * 5_000)
     run = traced(tmp_path, ["search", "--file", str(text), "--pattern", "acgtacgt"])
@@ -60,10 +60,29 @@ def test_search_records_scan_spans(tmp_path):
     scans = [s[5] for s in run["spans"] if s[0] == "gsm.scan"]
     assert scans == [{"p": 8, "symbols": 20_000}]
     values = run["values"]
-    assert values["gsm.calls"] == 1
-    assert values["gsm.matches"] == 20_000 // 4 - 1
-    assert values["cli.text_symbols"] == 20_000
+    # each scan's positions are checked as one report before they print
+    assert values["report.calls"] == 1
+    assert values["report.positions"] == 20_000 // 4 - 1
     assert values["scan_symbols.p8"] == 20_000
+    # search --algo gsm streams past the two read-all seams the recorder
+    # wraps, so their figures read 0 here until it wraps a streaming one
+    assert values["gsm.calls"] == 0
+    assert values["cli.text_symbols"] == 0
+
+
+def test_search_read_all_records_read_span(tmp_path):
+    text = tmp_path / "text.txt"
+    text.write_bytes(b"acgt" * 500)
+    run = traced(
+        tmp_path, ["search", "--algo", "oracle", "--file", str(text), "--pattern", "acgtacgt"]
+    )
+    assert run["code"] == 0
+    values = run["values"]
+    assert values["cli.input_bytes"] == 2_000
+    assert values["cli.text_symbols"] == 2_000
+    assert values["oracle.calls"] == 1
+    assert values["oracle.windows"] == 2_000 - 7
+    assert values["report.positions"] == 2_000 // 4 - 1
 
 
 def test_verify_random_records_oracle_and_reverify_spans(tmp_path):
