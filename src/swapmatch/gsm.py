@@ -20,8 +20,11 @@ carried signal is left to enter it. A block's occurrence ints take one
 translate per pattern symbol, or per four symbols packed in hex nibbles
 when the pattern has more than two, and a block still alive after a few
 columns, by its own signals or by carries still to enter, is cut to the
-span they can still reach. The two are equivalence-tested against each
-other and against the brute-force oracle.
+span they can still reach. A swap exchanges two unequal symbols, so the
+scan keeps no pending-swap signal at a column whose symbol equals the
+next one: there it is a subset of the unswapped signal and feeds nothing
+that signal does not. ``gsm_step`` and the scan are equivalence-tested
+against each other and against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -144,8 +147,11 @@ class _Occurrences(dict):
                 hexits = self.block.translate(self.tables[g])
                 hexits = hexits.zfill(len(hexits) + len(hexits) % 2)
                 self.groups[g] = int.from_bytes(a2b_hex(hexits), "big")
-            value = (self.groups[g] >> r) & _LANES
-        value = self[k] = value >> self.shift
+            group = self.groups[g]
+            value = (group >> r if r else group) & _LANES
+        if self.shift:
+            value >>= self.shift
+        self[k] = value
         return value
 
 
@@ -155,7 +161,12 @@ def _mask_triples(pattern: str | bytes):
     The pattern's symbols are numbered in order of first occurrence.
     Column i of the plan is ``(pat[i], pat[i-1], pat[i+1])`` as those
     numbers (``None`` past either end): the transposed form of the
-    per-symbol filters ``(d, d<<1, d>>1)`` of ``gsm_step``.
+    per-symbol filters ``(d, d<<1, d>>1)`` of ``gsm_step``. The third is
+    also ``None`` where pat[i] == pat[i+1], since a swap exchanges only
+    unequal symbols. There the pending-swap signal B_i = S(A_{i-1}) &
+    O[pat[i+1]] (see ``_scan_chunk``) is a subset of A_i, and what it
+    feeds, S(B_i) & O[pat[i]] in A_{i+1} and its carry bit, A_i feeds
+    already; so B_i is left 0, which saves a shift, two ANDs and an OR.
 
     An occurrence int holds one lane of w bits per block position. With
     at most two pattern symbols w = 1 and ``block.translate(tables[k])``
@@ -172,7 +183,11 @@ def _mask_triples(pattern: str | bytes):
     cols = [index[x] for x in pattern]
     p = len(cols)
     plan = tuple(
-        (cols[i], cols[i - 1] if i else None, cols[i + 1] if i + 1 < p else None)
+        (
+            cols[i],
+            cols[i - 1] if i else None,
+            cols[i + 1] if i + 1 < p and cols[i + 1] != cols[i] else None,
+        )
         for i in range(p)
     )
     w = 1 if len(symbols) <= 2 else 4
@@ -195,11 +210,13 @@ def _extend_positions(out: list, a: int, first: int, w: int) -> None:
     Lanes are w bits wide, and each is one digit of ``a`` in binary (w = 1)
     or hex (w = 4). Sparse lanes are found one ``str.find`` call each;
     dense ones by one C pass of ``compress`` over all digits, which is
-    cheaper once at least one lane in 64 is set: a ``find`` call costs
-    about as much as 60 digits of ``compress`` (CPython 3.11).
+    cheaper once at least one lane in 8 is set: over a block of 2^15 lanes
+    a ``find`` call costs about 170-300 ns per set lane and ``compress``
+    25-35 ns per lane, set or not (CPython 3.11), so they cross between
+    one set lane in 6 and one in 10.
     """
     bits = format(a, "b" if w == 1 else "x")
-    if a.bit_count() * 64 < len(bits):
+    if a.bit_count() * 8 < len(bits):
         find = bits.find
         k = find("1")
         while k >= 0:
@@ -226,7 +243,8 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
         B_i = S(A_{i-1}) & O[pat[i+1]]
 
     where A is the ru|rm signal and B the rd signal (A_0 = O[pat[0]],
-    B_0 = O[pat[1]]); each set lane of A_{p-1} is a match ending at its
+    B_0 = O[pat[1]]), and B_i is 0 where pat[i] == pat[i+1] (see
+    ``_mask_triples``); each set lane of A_{p-1} is a match ending at its
     position. A block costs one C pass of ``translate`` per pattern symbol
     (w = 1) or per four of them (w = 4, see ``_mask_triples``), plus a few
     big-int operations per column over the lanes up to the top live one.
@@ -235,7 +253,8 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
     of columns whatever p is. A block still alive at ``REBASE_COLUMN`` is
     re-based: signals move one lane down per column, so lanes more than
     p - i below the lowest live one cannot reach a match; they are shifted
-    out, and a column then costs the live span, not the whole block.
+    out, and a column then costs the live span, not the whole block. A
+    shift by 0 would copy each int for nothing, so none is made.
     Carries still to enter come in at the top lane, so it counts as live:
     a block that a straddling copy reaches only through carries is
     re-based too. ``gsm_step`` is the literal 13-op per-symbol reference.
@@ -268,10 +287,11 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
                 # no carry records; the lanes below that are shifted out
                 ab = a | b | top
                 s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i))
-                a, b, top = a >> w * s, b >> w * s, top >> w * s
-                occ.shift = w * s
-                for k in occ:
-                    occ[k] >>= w * s
+                if s:
+                    a, b, top = a >> w * s, b >> w * s, top >> w * s
+                    occ.shift = w * s
+                    for k in occ:
+                        occ[k] >>= w * s
             cur, prev, nxt = plan[i]
             sa = a >> w
             sb = b >> w

@@ -67,6 +67,9 @@ MUTANTS = (
            "if not (a or b or live >> (i - 1)):", "if not (a or b):", "conformance"),
     Mutant("exit-reads-carries-one-column-late", "gsm.py",
            "live >> (i - 1)):", "live >> i):", "conformance"),
+    Mutant("rebase-by-zero-shifts", "gsm.py",
+           "if s:", "if True:", "conformance",
+           "a shift by 0 copies each int and changes no bit"),
     Mutant("rebase-never", "gsm.py",
            "if i == REBASE_COLUMN:", "if i == -1:", "conformance",
            "the re-base drops only lanes that cannot reach a match by column p - 1"),
@@ -83,16 +86,18 @@ MUTANTS = (
            "occ[k] >>= w * s", "occ[k] >>= 0", "conformance"),
     Mutant("rebase-later-occurrences-unshifted", "gsm.py",
            "occ.shift = w * s", "occ.shift = 0", "conformance"),
+    Mutant("rebase-later-occurrences-shift-skipped", "gsm.py",
+           "if self.shift:", "if False:", "conformance"),
     Mutant("positions-ignore-rebase", "gsm.py",
            "first = j + n - s + 2 - p", "first = j + n + 2 - p", "conformance"),
     # gsm: occurrence ints and position extraction
     Mutant("nibble-select-off-by-one", "gsm.py",
-           "(self.groups[g] >> r) & _LANES", "(self.groups[g] >> (r + 1)) & _LANES",
+           "(group >> r if r else group) & _LANES", "(group >> (r + 1)) & _LANES",
            "conformance"),
     Mutant("nibble-mask-one-byte-short", "gsm.py",
            'b"\\x11" * (BLOCK // 2)', 'b"\\x11" * (BLOCK // 2 - 1)', "conformance"),
     Mutant("extract-always-by-find", "gsm.py",
-           "if a.bit_count() * 64 < len(bits):", "if True:", "conformance",
+           "if a.bit_count() * 8 < len(bits):", "if True:", "conformance",
            "find and compress read the same set lanes; the threshold picks the "
            "cheaper one"),
     Mutant("extract-find-skips-a-lane", "gsm.py",
@@ -100,6 +105,14 @@ MUTANTS = (
     Mutant("extract-compress-off-by-one", "gsm.py",
            "positions = range(first, first + len(bits))",
            "positions = range(first + 1, first + 1 + len(bits))", "conformance"),
+    # gsm._mask_triples: the pending-swap row of the plan
+    Mutant("swap-row-never", "gsm.py",
+           "cols[i + 1] if i + 1 < p and cols[i + 1] != cols[i] else None,", "None,",
+           "conformance"),
+    Mutant("swap-row-kept-between-equal-symbols", "gsm.py",
+           " and cols[i + 1] != cols[i] else None,", " else None,", "conformance",
+           "between equal symbols B_i is a subset of A_i, and A_i already feeds "
+           "all that B_i feeds"),
     # gsm.gsm_scans: the one scan loop behind gsm_search, the stream and the CLI
     Mutant("stream-scans-every-chunk", "gsm.py",
            "if size < BLOCK:", "if size < 1:", "conformance",
@@ -156,6 +169,8 @@ MUTANTS = (
            "if in_header:", "if False:", "cli"),
     Mutant("fasta-chunk-start-is-line-start", "cli.py",
            "if k else line_start:", "if k else True:", "cli"),
+    Mutant("fasta-fast-path-ignores-in-header", "cli.py",
+           'if not in_header and b">" not in chunk:', 'if b">" not in chunk:', "cli"),
 )
 
 

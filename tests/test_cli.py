@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,14 @@ from types import SimpleNamespace
 import pytest
 
 from swapmatch import cli, gsm
-from swapmatch.cli import PRINT_BATCH, _chunks, _print_report, _read_text_input, main
+from swapmatch.cli import (
+    PRINT_BATCH,
+    _chunks,
+    _print_report,
+    _read_text_input,
+    _strip_fasta_headers,
+    main,
+)
 from swapmatch.oracle import oracle_search
 from swapmatch.report import MatchReport
 from swapmatch.smalgo import SEARCHERS
@@ -308,6 +316,51 @@ def test_fasta_strip_equals_line_reference_fuzzed():
         # two cuts in every tenth case: they are quadratic in the length
         for chunks in _cuts(data, two=case % 10 == 0):
             assert _fasta_stripped_in_chunks(chunks) == want, chunks
+
+
+def _fasta_reference_keeping_line_ends(data: bytes) -> bytes:
+    # every line that starts with ">" keeps only its line end (CR or LF)
+    out = []
+    for line in re.findall(rb"[^\r\n]*[\r\n]?", data):
+        body = line.rstrip(b"\r\n")
+        out.append(line[len(body):] if body.startswith(b">") else line)
+    return b"".join(out)
+
+
+@pytest.mark.parametrize(
+    "chunk",
+    [b"ACGT\r\nAC", b"AC\r\nGT\r\n", b"ACGT\r", b"ACGT\n", b"\n", b"\r", b"GT", b"\r\nAC"],
+)
+@pytest.mark.parametrize(
+    "before, in_header, line_start",
+    [(b">h", True, False), (b"", False, True), (b"x\n", False, True), (b"x", False, False)],
+)
+def test_fasta_strip_chunk_without_header_start(chunk, before, in_header, line_start):
+    # a chunk holding no ">": kept whole unless it starts inside a header,
+    # whose rest it then cuts; ``before`` is a stream that leaves that state
+    kept, header_out, line_start_out = _strip_fasta_headers(chunk, in_header, line_start)
+    reference = _fasta_reference_keeping_line_ends
+    assert reference(before) + kept == reference(before + chunk)
+    assert header_out == re.split(rb"[\r\n]", before + chunk)[-1].startswith(b">")
+    assert line_start_out == (chunk[-1:] in (b"\r", b"\n"))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"AC\r\nGT\r\n" * 3,  # CRLF
+        b"AC\rGT\rA",  # bare CR
+        b"AC\nGT\nA\n",  # LF
+        b"A\r\nC\rG\nT\n\rA\r\r\n\n",  # mixed
+        b"ACGT",  # no line ends
+    ],
+)
+def test_newline_deletion_equals_translate(data):
+    want = data.translate(None, b"\r\n")
+    for chunks in _cuts(data, two=False):
+        assert b"".join(_chunks(_Pieces(chunks), False, False, True)) == want, chunks
+    one_byte_each = _Pieces([data[i:i + 1] for i in range(len(data))])
+    assert b"".join(_chunks(one_byte_each, False, False, True)) == want
 
 
 def _multi_record_fasta(seed: int) -> bytes:

@@ -27,6 +27,7 @@ from test_conformance import (
     _oracle_positions,
     _plant,
     _planted_text,
+    _rebase_text,
 )
 
 patterns = st.text(alphabet="abc", min_size=1, max_size=9)
@@ -461,18 +462,30 @@ def test_carry_out_holds_only_columns_a_later_block_reads(sigma, p):
     assert (ca | cb).bit_length() <= p - 1
 
 
-def test_block_reached_only_through_carries_is_rebased(monkeypatch):
-    # a copy straddling the block edge 256/256; nothing else in block 1 is
-    # alive at the re-base column, where the copy's signals are still carries
-    # that enter at the top lane
+def _record_occurrences(monkeypatch) -> list:
+    """The blocks' ``_Occurrences`` as they are made; each keeps in ``stored``
+    the symbol indexes it stored an int for, in order."""
     made = []
 
     class Recording(gsm._Occurrences):
         def __init__(self, *args):
             super().__init__(*args)
+            self.stored = []
             made.append(self)
 
+        def __setitem__(self, k, value):
+            self.stored.append(k)
+            super().__setitem__(k, value)
+
     monkeypatch.setattr(gsm, "_Occurrences", Recording)
+    return made
+
+
+def test_block_reached_only_through_carries_is_rebased(monkeypatch):
+    # a copy straddling the block edge 256/256; nothing else in block 1 is
+    # alive at the re-base column, where the copy's signals are still carries
+    # that enter at the top lane
+    made = _record_occurrences(monkeypatch)
     p = 512
     rng = random.Random(7)
     pattern = "".join(rng.choice("ACGT") for _ in range(p))
@@ -481,3 +494,102 @@ def test_block_reached_only_through_carries_is_rebased(monkeypatch):
     assert gsm_search(pattern, text).positions == _oracle_positions(pattern, text)
     assert start + 1 in _oracle_positions(pattern, text)
     assert len(made) == 2 and made[1].shift > 0
+
+
+def test_rebase_by_zero_keeps_occurrences_and_positions(monkeypatch):
+    # the periodic texts match up to their last windows, so at the re-base
+    # column a lane within p - 16 of the bottom is live and the re-base
+    # shift is 0: no int may be shifted (each occurrence int is stored
+    # once) and no position moves
+    made = _record_occurrences(monkeypatch)
+    for pattern, text in (("ab" * 32, "ab" * 1000), ("ACGT" * 16, "ACGT" * 500)):
+        made.clear()
+        assert gsm_search(pattern, text).positions == oracle_search(pattern, text).positions
+        assert len(made) == 1 and made[0].shift == 0
+        assert len(made[0].stored) == len(set(made[0].stored)), pattern
+
+
+# -- no swap row between equal symbols ------------------------------------------------
+# A swap exchanges two unequal symbols, so the plan has no pending-swap
+# symbol at a column whose symbol equals the next one.
+
+
+@pytest.mark.parametrize(
+    "pattern", ["a", "aa", "ab", "AAAAAAAA", "AAAACCCCGGGG", "aabbaabb", "abcab", b"xxyx"]
+)
+def test_plan_drops_swap_row_exactly_between_equal_symbols(pattern):
+    plan, _, _ = _mask_triples(pattern)
+    numbers = {x: k for k, x in enumerate(dict.fromkeys(pattern))}
+    for i, (cur, prev, nxt) in enumerate(plan):
+        assert cur == numbers[pattern[i]]
+        assert prev == (numbers[pattern[i - 1]] if i else None)
+        if i + 1 == len(pattern) or pattern[i] == pattern[i + 1]:
+            assert nxt is None, (pattern, i)
+        else:
+            assert nxt == numbers[pattern[i + 1]], (pattern, i)
+
+
+def _runs_pattern(sigma: str, p: int, seed: int) -> str:
+    # runs of 1 to 5 equal symbols, each run's symbol unlike the last one's
+    rng = random.Random(seed)
+    out = [rng.choice(sigma)]
+    while len(out) < p:
+        x = rng.choice(sigma.replace(out[-1], ""))
+        out += x * rng.randint(1, 5)
+    return "".join(out[:p])
+
+
+def _repeated_neighbour_cases():
+    for pattern, sigma in (
+        ("AAAAAAAA", "ACGT"),
+        ("AAAACCCCGGGG", "ACGT"),
+        ("aabbaabb", "ab"),
+        ("aaaa", "ab"),
+    ):
+        yield pattern, *_planted_text(pattern, sigma, seed=len(pattern))
+    for p in (64, 512):
+        for sigma in ("ab", "ACGT"):
+            pattern = _runs_pattern(sigma, p, seed=p)
+            yield pattern, *_planted_text(pattern, sigma, seed=p)
+            yield pattern, *_rebase_text(pattern, sigma, seed=p)
+
+
+def test_repeated_neighbours_equal_oracle_across_blocks():
+    # copies straddle every block edge, where the A carry must enter what
+    # the dropped B carry would have; p >= 64 also takes the re-base
+    cuts = [k * BLOCK + d for k in (1, 2, 3) for d in (-1, 1)]
+    for pattern, text, starts in _repeated_neighbour_cases():
+        want = oracle_search(pattern, text).positions
+        assert {start + 1 for start in starts} <= set(want), pattern
+        assert gsm_search(pattern, text).positions == want, pattern
+        chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+        assert tuple(gsm_search_stream(pattern, chunks)) == want, pattern
+        data = pattern.encode(), text.encode()
+        assert gsm_search(*data).positions == want, pattern
+
+
+# -- position extraction ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("w", [1, 4])
+def test_extend_positions_branches_agree_around_crossover(w, monkeypatch):
+    # one set lane in 2 to 1 in 64: dense lanes go through compress, sparse
+    # ones through find, and both give every set lane's position
+    calls = []
+    compress = gsm.compress
+    monkeypatch.setattr(gsm, "compress", lambda *args: calls.append(1) or compress(*args))
+    rng = random.Random(w)
+    n = 4096
+    branches = set()
+    for density in (2, 4, 6, 7, 9, 10, 16, 64):
+        for first in (1, 77):
+            lanes = [1] + [int(rng.random() < 1 / density) for _ in range(n - 1)]
+            a = 0
+            for bit in lanes:
+                a = a << w | bit
+            out = [-1]
+            calls.clear()
+            gsm._extend_positions(out, a, first, w)
+            branches.add("compress" if calls else "find")
+            assert out == [-1] + [first + k for k, bit in enumerate(lanes) if bit], density
+    assert branches == {"compress", "find"}
