@@ -6,13 +6,17 @@ row +1 column c carries P_{c+1} (the symbol swapped down into c). The two
 corner vertices that would read outside the pattern are removed. Every
 column-1 to column-p path spells a swapped version of P, and vice versa.
 ``build_pgraph`` stores the graph as three tables (labels, columns and
-successors), and every reader walks those tables directly.
+successors).
 
 The Basic Matching Algorithm (BMA) decides a swap match at one text
 position by sweeping a set of live vertices across the columns:
 filter by the current text symbol, check acceptance at column p,
-propagate along the edges. It is O(t*p) reference machinery, not a
-production matcher.
+propagate along the edges. The sweep reads the graph's tables through
+two indexes built from them once per search: the set of vertices of each
+(column, symbol) pair, grouped from ``labels``, and a memo that maps each
+live set met to the union of its vertices' ``successors``. So a column
+costs one set intersection and one lookup. It is O(t*p) reference
+machinery, not a production matcher.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ Vertex = tuple[int, int]  # (row, column), row in {-1, 0, +1}, column 1-based
 
 # The prefix-match signal of a BMA run: the set of vertices currently
 # marked 1 (the characteristic-set form of a vertex -> {0,1} labeling).
-SignalState = set[Vertex]
+SignalState = frozenset[Vertex]
 
 _ROWS = (-1, 0, 1)
 
@@ -78,29 +82,57 @@ def build_pgraph(pattern: str | bytes) -> PGraph:
     return PGraph(pattern, labels, tuple(map(tuple, columns)), successors)
 
 
+def _sweep(graph: PGraph):
+    """The BMA sweep over one graph, as a function of (text, k).
+
+    ``symbol_sets[c][x]`` is the set of column-c vertices labeled x, read
+    from ``graph.labels``. ``unions`` maps a live set to the union of
+    ``graph.successors`` over its vertices; it fills as live sets are met,
+    and is shared by every position swept with this function. The live
+    set is a frozenset (``frozenset & set`` stays one), so it can key
+    ``unions``.
+    """
+    p = len(graph.pattern)
+    symbol_sets: list[dict[object, set[Vertex]]] = [{} for _ in graph.columns]
+    for v, x in graph.labels.items():
+        symbol_sets[v[1]].setdefault(x, set()).add(v)
+    successors = graph.successors
+    unions: dict[SignalState, SignalState] = {}
+    start: SignalState = frozenset(graph.columns[1])
+    empty: SignalState = frozenset()
+
+    def accepts(text: str | bytes, k: int) -> bool:
+        signal = start
+        for c in range(1, p):
+            signal &= symbol_sets[c].get(text[k + c - 2], empty)
+            if not signal:
+                return False
+            live = unions.get(signal)
+            if live is None:
+                live = unions[signal] = frozenset(w for v in signal for w in successors[v])
+            signal = live
+        # the live set lies in column p, so a vertex survives the last
+        # filter exactly when a column-p vertex holds a signal
+        return not signal.isdisjoint(symbol_sets[p].get(text[k + p - 2], empty))
+
+    return accepts
+
+
 def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:
     """Does the pattern swap-match the text at 1-based position k?
 
-    Runs the signal sweep literally: filter by symbol, stop when no signal
-    survives, accept only when a column-p vertex holds a signal, then
-    propagate along the edges, reading the graph's three tables.
+    Runs the signal sweep: per column, intersect the live set with the
+    column's vertices labeled by the text symbol, stop when no signal
+    survives, accept when a column-p vertex holds a signal, and otherwise
+    move to the union of the live vertices' successors. Builds the
+    sweep's indexes for this one position; ``bma_search`` builds them
+    once for all positions.
     """
     p = len(graph.pattern)
     t = len(text)
     if not 1 <= k <= t - p + 1:
         raise ValueError(f"position {k} outside 1..{t - p + 1}")
-    labels, successors = graph.labels, graph.successors
-    accepting = graph.columns[p]
-    signal: SignalState = set(graph.columns[1])
-    for i in range(p):
-        x = text[k - 1 + i]
-        signal = {v for v in signal if labels[v] == x}
-        if not signal:
-            return False
-        if not signal.isdisjoint(accepting):
-            return True
-        signal = {w for v in signal for w in successors[v]}
-    return False
+    return _sweep(graph)(text, k)
 
 
 def bma_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
@@ -109,6 +141,6 @@ def bma_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     p, t = len(pattern), len(text)
     if p > t:
         return MatchReport("bma", (), p, t)
-    graph = build_pgraph(pattern)
-    positions = tuple(k for k in range(1, t - p + 2) if bma_at(graph, text, k))
+    accepts = _sweep(build_pgraph(pattern))
+    positions = tuple(k for k in range(1, t - p + 2) if accepts(text, k))
     return MatchReport("bma", positions, p, t)

@@ -14,7 +14,12 @@ one-algorithm form.
 
 Both searches read one set of six int tables, :class:`SmalgoMasks`,
 built straight from the pattern in one pass by :func:`smalgo_precompute`,
-with pattern column c at bit c - 1 in both engines.
+with pattern column c at bit c - 1 in both engines. The engines take
+their tables from a one-entry cache keyed on the pattern, so the tables
+are built once per pattern while it repeats: once per pair for both
+engines and the re-check of every discrepancy on that pair, and once per
+pattern in exhaustive mode, where the patterns form the outer loop.
+``smalgo_precompute`` itself builds fresh tables on every call.
 
 SMALGO-II here follows the repaired form of the original pseudocode
 (initialization and indexing fixed); the repairs do not remove the
@@ -111,6 +116,24 @@ def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
     )
 
 
+_last_masks: tuple = (None, None)  # (pattern, its masks) of the last build
+
+
+def _pattern_masks(pattern: str | bytes) -> SmalgoMasks:
+    """The pattern's masks, built only when the pattern differs from the last one.
+
+    ``'ab'`` and ``b'ab'`` are different keys, as a str never equals
+    bytes. A build goes through the module's ``smalgo_precompute``, so a
+    replacement of that name sees every build.
+    """
+    global _last_masks
+    last, masks = _last_masks
+    if last != pattern:
+        masks = smalgo_precompute(pattern)
+        _last_masks = pattern, masks
+    return masks
+
+
 def _single_symbol_search(algorithm: str, pattern, text) -> MatchReport:
     # Swap matching a length-1 pattern degenerates to plain Shift-And,
     # i.e. exact matching of the single symbol.
@@ -138,7 +161,7 @@ def _smalgo1(pattern, text, steps: list[Smalgo1Step] | None = None):
     Optionally records every full iteration's vectors in ``steps``.
     """
     p, t = len(pattern), len(text)
-    masks = smalgo_precompute(pattern)
+    masks = _pattern_masks(pattern)
     dt, pm3 = masks.dtilde, masks.pmask3
     check = 1 << (p - 2)
     positions: list[int] = []
@@ -207,7 +230,7 @@ def smalgo2_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     if t < p:
         return MatchReport("smalgo2", (), p, t)
 
-    masks = smalgo_precompute(pattern)
+    masks = _pattern_masks(pattern)
     dt = masks.dtilde
     up, down, middle = masks.up, masks.down, masks.middle
 

@@ -128,6 +128,10 @@ MUTANTS = (
     Mutant("smalgo-pmask3-without-bit-one", "smalgo.py",
            "pmask3.get(triple, 1) | bit", "pmask3.get(triple, 0) | bit",
            "smalgo-fixtures"),
+    # smalgo._pattern_masks: the one-entry mask cache
+    Mutant("smalgo-masks-cache-stale", "smalgo.py",
+           "if last != pattern:", "if len(last or ()) != len(pattern):",
+           "smalgo-fixtures"),
     # smalgo.smalgo2_search: the column filter read from the landing rows
     Mutant("smalgo2-filter-drops-middle", "smalgo.py",
            "r &= (u | dn | mi | 1) & d", "r &= (u | dn | 1) & d", "smalgo-fixtures"),
@@ -139,9 +143,11 @@ MUTANTS = (
     Mutant("minimize-accepting-flipped", "dfa.py",
            "if member[b] in dfa.accepting)", "if member[b] not in dfa.accepting)",
            "conformance"),
-    # model.bma_at
+    # model._sweep: the BMA sweep over per-column vertex sets
     Mutant("bma-filter-flipped", "model.py",
-           "if labels[v] == x}", "if labels[v] != x}", "conformance"),
+           "signal &= symbol_sets[c]", "signal -= symbol_sets[c]", "conformance"),
+    Mutant("bma-successors-from-wrong-row", "model.py",
+           "for w in successors[v])", "for w in successors[(0, v[1])])", "conformance"),
     # oracle._window_matches
     Mutant("oracle-swap-reads-own-symbol", "oracle.py",
            "(b and c == pattern[i - 1])", "(b and c == pattern[i])", "conformance"),

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from swapmatch.model import build_pgraph, bma_at, bma_search
-from swapmatch.oracle import enumerate_swapped_versions
+from swapmatch.oracle import enumerate_swapped_versions, oracle_search
 
 
 def test_pgraph_figure_example():
@@ -105,3 +105,28 @@ def test_bma_search_empty_when_pattern_longer():
 def test_bma_search_bytes():
     assert bma_search(b"acbab", b"babcabc").positions == (2,)
 
+
+
+def test_bma_search_equals_oracle_on_every_abc_text_of_length_6():
+    # A greedy de Bruijn sequence (Martin 1934): append the last symbol of
+    # "cba" whose length-6 window is new. It holds every abc text of
+    # length 6 as a window, so one search per pattern over it checks each
+    # pattern at every position of every such text.
+    text = "a" * 6
+    seen = {text}
+    while True:
+        for x in "cba":
+            window = text[-5:] + x
+            if window not in seen:
+                seen.add(window)
+                text += x
+                break
+        else:
+            break
+    assert len(seen) == 3**6 and len(text) == 3**6 + 5
+    patterns = ["".join(w) for p in range(1, 6) for w in product("abc", repeat=p)]
+    # longer patterns whose neighbours repeat, so live sets share columns
+    patterns += ["aabbcc", "abbcca", "aaabbb", "abccba", "aabbaabb"]
+    for pattern in patterns:
+        got = bma_search(pattern, text).positions
+        assert got == oracle_search(pattern, text).positions, pattern

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from swapmatch import smalgo
 from swapmatch.bitvec import BitVector
 from swapmatch.model import build_pgraph
 from swapmatch.oracle import oracle_search
@@ -261,6 +262,44 @@ def test_compare_with_oracle_equals_one_scan_per_algorithm():
     for algo in algos:
         assert results[algo] == find_discrepancies(pats, txts, algo)
     assert results["smalgo1"].pairs_scanned == len(pats) * len(txts)
+
+
+def test_mask_cache_keys_on_the_pattern(monkeypatch):
+    # the engines share one cached mask build per pattern; a str pattern
+    # and its bytes form, or two patterns in turn, must not share masks
+    runs = [("abab", "aababbaba"), (b"abab", b"aababbaba"), ("abab", "aaba"),
+            ("abba", "abbaabab"), ("abab", "abbaabab"), ("abba", "abbaabab"),
+            (b"abba", b"abbaabab"), ("abab", "aababbaba")]
+    engines = (smalgo1_search, smalgo2_search)
+    cached = [search(p, t).positions for p, t in runs for search in engines]
+    monkeypatch.setattr(smalgo, "_pattern_masks", smalgo_precompute)  # a build per call
+    fresh = [search(p, t).positions for p, t in runs for search in engines]
+    assert cached == fresh
+    assert any(cached)
+    assert smalgo_precompute("abab") is not smalgo_precompute("abab")
+
+
+def test_compare_with_oracle_builds_masks_once_per_pattern(monkeypatch):
+    # K runs of consecutive equal patterns cost K mask builds, whatever
+    # the number of engines, texts and re-checked discrepancies
+    patterns = ["abab", "abba", b"abab", "abab", "aabab"]
+    texts = ["aaba", "abbaabab", "aababbaba", "babababa"]
+    pairs = [
+        (pattern, text.encode() if isinstance(pattern, bytes) else text)
+        for pattern in patterns
+        for text in texts
+    ]
+    smalgo1_search("ab", "ab")  # the cache now holds none of the patterns
+    builds = []
+
+    def counting(pattern):
+        builds.append(pattern)
+        return smalgo_precompute(pattern)
+
+    monkeypatch.setattr(smalgo, "smalgo_precompute", counting)
+    results = compare_with_oracle(pairs, ["smalgo1", "smalgo2"])
+    assert builds == ["abab", "abba", b"abab", "abab", "aabab"]
+    assert results["smalgo1"].discrepancies and results["smalgo2"].discrepancies
 
 
 def test_find_discrepancies_rejects_oracle():
