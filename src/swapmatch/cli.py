@@ -24,7 +24,6 @@ import io
 import json
 import os
 import re
-import statistics
 import sys
 import time
 from contextlib import contextmanager, nullcontext, suppress
@@ -39,6 +38,7 @@ from .dfa import (
     growth_csv,
     growth_table,
     minimize,
+    nfa_state_count,
 )
 from .gsm import BLOCK, gsm_scans
 from .model import build_pgraph
@@ -130,6 +130,8 @@ def run_bench(
             raise ValueError(f"p={p} exceeds t={t}")
         if p in p_list[:i]:
             raise ValueError(f"p-list repeats {p}")
+    from statistics import median  # here, not at the top: no other command pays for its import
+
     records = []
     for algo in algos:
         search = SEARCHERS[algo]
@@ -142,7 +144,7 @@ def run_bench(
                 t0 = time.perf_counter_ns()
                 search(pattern, text)
                 times.append(time.perf_counter_ns() - t0)
-            median_ns = int(statistics.median(times))
+            median_ns = int(median(times))
             records.append(
                 BenchRecord(
                     algo=algo,
@@ -174,12 +176,11 @@ def flaw_demo_text() -> str:
     out.append(f"SMALGO-I false positive demo: pattern={pattern} text={text}")
     out.append("")
     out.append("Degenerate masks and triplet path masks (rows are positions i=1..4):")
+    graph = build_pgraph(pattern)
     degenerate_sets = []
-    for i in range(1, p + 1):
-        ordered = []
-        for idx in (i - 1, i - 2, i):  # current symbol first, then neighbors
-            if 0 <= idx < p and pattern[idx] not in ordered:
-                ordered.append(pattern[idx])
+    for column in graph.columns[1 : p + 1]:
+        # the column's labels, row 0 (its own symbol) first, then rows -1 and +1
+        ordered = dict.fromkeys(graph.labels[v] for v in sorted(column, key=lambda v: v[0] != 0))
         degenerate_sets.append("[" + "".join(ordered) + "]")
     triples = sorted(
         ((x1, x2, x3) for x1 in "ab" for x2 in "ab" for x3 in "ab"),
@@ -555,8 +556,7 @@ def cmd_dfa_growth(args) -> int:
 def cmd_dfa_states(args) -> int:
     pattern = args.pattern
     dfa = determinize(pattern, args.alphabet or None, args.state_cap)
-    row = [pattern, len(pattern), build_pgraph(pattern).vertex_count + 1,
-           dfa.n_states, minimize(dfa).n_states]
+    row = [pattern, len(pattern), nfa_state_count(pattern), dfa.n_states, minimize(dfa).n_states]
     import csv  # here, not at the top: no other command pays for its import
 
     with _stdout_writes():

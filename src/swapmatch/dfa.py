@@ -2,16 +2,15 @@
 
 The language of a pattern P is "anything, then a swapped version of P".
 Its natural NFA is small: a self-looping start state feeding the pattern
-graph (``nfa_states`` counts its vertices plus that start state). Its DFA
-is the set of GSM signal states (ru, rm, rd) that some text reaches:
-subset construction over the NFA finds exactly these states, so this
-module builds the DFA by a breadth-first walk over signal triples. It
-cannot stay small: for the family ``ac(abc)^k`` the minimal DFA needs at
-least 2^k states, so a text can drive GSM into at least 2^k distinct
-signal states. The module builds the automata (signal-state DFA, then
-Moore partition refinement to a canonical minimal table) and verifies
-the bound empirically, including the pairwise distinguishing-extension
-argument behind it.
+graph (``nfa_state_count``). Its DFA is the set of GSM signal states
+(ru, rm, rd) that some text reaches: subset construction over the NFA
+finds exactly these states, so this module builds the DFA by a
+breadth-first walk over signal triples. It cannot stay small: for the
+family ``ac(abc)^k`` the minimal DFA needs at least 2^k states, so a
+text can drive GSM into at least 2^k distinct signal states. The module
+builds the automata (signal-state DFA, then Moore partition refinement
+to a canonical minimal table) and verifies the bound empirically,
+including the pairwise distinguishing-extension argument behind it.
 """
 
 from __future__ import annotations
@@ -46,6 +45,11 @@ class Dfa:
     @property
     def n_states(self) -> int:
         return len(self.transitions)
+
+
+def nfa_state_count(pattern: str | bytes) -> int:
+    """States of the pattern's NFA: the graph's vertices and the start state."""
+    return build_pgraph(pattern).vertex_count + 1
 
 
 def determinize(
@@ -247,7 +251,7 @@ def _lower_bound(k: int, pair_samples: int, seed: int, state_cap: int) -> LowerB
     return LowerBoundReport(
         k=k,
         pattern=pattern,
-        nfa_states=build_pgraph(pattern).vertex_count + 1,
+        nfa_states=nfa_state_count(pattern),
         dfa_states=dfa.n_states,
         min_dfa_states=mdfa.n_states,
         bound=bound,

@@ -6,7 +6,8 @@ row +1 column c carries P_{c+1} (the symbol swapped down into c). The two
 corner vertices that would read outside the pattern are removed. Every
 column-1 to column-p path spells a swapped version of P, and vice versa.
 ``build_pgraph`` stores the graph as three tables (labels, columns and
-successors).
+successors), the one rule for which vertices and edges exist. BMA and the
+SMALGO masks read the last pattern's graph from one cached build.
 
 The Basic Matching Algorithm (BMA) decides a swap match at one text
 position by sweeping a set of live vertices across the columns:
@@ -21,6 +22,7 @@ machinery, not a production matcher.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .report import MatchReport, check_search_inputs
@@ -82,6 +84,12 @@ def build_pgraph(pattern: str | bytes) -> PGraph:
     return PGraph(pattern, labels, tuple(map(tuple, columns)), successors)
 
 
+@functools.lru_cache(maxsize=1)
+def _pgraph(pattern: str | bytes) -> PGraph:
+    """The last pattern's graph (``'ab'`` and ``b'ab'`` differ); shared, so read-only."""
+    return build_pgraph(pattern)
+
+
 def _sweep(graph: PGraph):
     """The BMA sweep over one graph, as a function of (text, k).
 
@@ -141,6 +149,6 @@ def bma_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     p, t = len(pattern), len(text)
     if p > t:
         return MatchReport("bma", (), p, t)
-    accepts = _sweep(build_pgraph(pattern))
+    accepts = _sweep(_pgraph(pattern))
     positions = tuple(k for k in range(1, t - p + 2) if accepts(text, k))
     return MatchReport("bma", positions, p, t)

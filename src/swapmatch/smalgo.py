@@ -12,14 +12,14 @@ against the brute-force oracle, running the oracle once per pair for
 every algorithm it checks, and :func:`find_discrepancies` is its
 one-algorithm form.
 
-Both searches read one set of six int tables, :class:`SmalgoMasks`,
-built straight from the pattern in one pass by :func:`smalgo_precompute`,
-with pattern column c at bit c - 1 in both engines. The engines take
-their tables from a one-entry cache keyed on the pattern, so the tables
-are built once per pattern while it repeats: once per pair for both
-engines and the re-check of every discrepancy on that pair, and once per
-pattern in exhaustive mode, where the patterns form the outer loop.
-``smalgo_precompute`` itself builds fresh tables on every call.
+Both searches read one set of six int tables, :class:`SmalgoMasks`, with
+pattern column c at bit c - 1. :func:`smalgo_precompute` reads them off
+the pattern graph of :mod:`swapmatch.model` in one pass: each mask is a
+per-column view of the graph's labeled paths, and the graph is the one
+BMA sweeps. The engines take their tables from a one-entry cache keyed
+on the pattern, as the graph is, so a pattern's graph and masks are built
+once while it repeats: once per pair for BMA, both engines and every
+re-check on that pair, and once per pattern in exhaustive mode.
 
 SMALGO-II here follows the repaired form of the original pseudocode
 (initialization and indexing fixed); the repairs do not remove the
@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .bitvec import BitVector
 from .gsm import gsm_search
-from .model import bma_search
+from .model import _pgraph, bma_search
 from .oracle import oracle_match_at, oracle_search
 from .report import MatchReport, check_search_inputs
 
@@ -73,39 +73,33 @@ class SmalgoMasks:
 
 
 def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
-    """Every SMALGO mask, straight from the pattern; needs p >= 2.
+    """Every SMALGO mask, read off the (cached) pattern graph; needs p >= 2.
 
-    Column c holds P[c-2] on row -1 (c >= 2), P[c-1] on row 0 and P[c]
-    on row +1 (c < p), 0-based. An edge joins columns c - 1 and c, and
-    it lands on row -1 exactly when it leaves row +1. So every mask bit
-    comes from the labels of three adjacent columns.
+    A column's labels set its bit in ``dtilde``. Each edge into column c
+    sets bit c - 1 in the landing row of its label pair and, with each
+    successor of its head, in ``pmask3``.
     """
     p = len(pattern)
     if p < 2:
         raise ValueError("SMALGO masks need a pattern of length >= 2")
-    # columns[c]: (row, label) pairs of column c; index 0 and p + 1 are empty
-    columns = [()] + [
-        tuple((r, pattern[r + c - 1]) for r in (-1, 0, 1) if 1 <= r + c <= p)
-        for c in range(1, p + 1)
-    ] + [()]
+    graph = _pgraph(pattern)
+    labels, successors = graph.labels, graph.successors
     dtilde: dict = {}
     pmask3: dict = {}
     rows: dict[int, dict] = {-1: {}, 0: {}, 1: {}}  # up, middle, down
-    for c in range(1, p + 1):
-        bit = 1 << (c - 1)
-        for _, x in columns[c]:
-            dtilde[x] = dtilde.get(x, 0) | bit
-        for r1, x in columns[c - 1]:
-            for r2, y in columns[c]:
-                if (r2 == -1) != (r1 == 1):
-                    continue
-                pair = (x, y)
-                lands = rows[r2]
-                lands[pair] = lands.get(pair, 0) | bit
-                for r3, z in columns[c + 1]:
-                    if (r3 == -1) == (r2 == 1):
-                        triple = (x, y, z)
-                        pmask3[triple] = pmask3.get(triple, 1) | bit
+    for (_, c), x in labels.items():
+        dtilde[x] = dtilde.get(x, 0) | 1 << (c - 1)
+    for u, heads in successors.items():
+        x = labels[u]
+        for v in heads:
+            y = labels[v]
+            bit = 1 << (v[1] - 1)
+            pair = (x, y)
+            lands = rows[v[0]]
+            lands[pair] = lands.get(pair, 0) | bit
+            for w in successors[v]:
+                triple = (x, y, labels[w])
+                pmask3[triple] = pmask3.get(triple, 1) | bit
     return SmalgoMasks(
         p=p,
         dtilde=dtilde,
@@ -116,22 +110,10 @@ def smalgo_precompute(pattern: str | bytes) -> SmalgoMasks:
     )
 
 
-_last_masks: tuple = (None, None)  # (pattern, its masks) of the last build
-
-
+@functools.lru_cache(maxsize=1)
 def _pattern_masks(pattern: str | bytes) -> SmalgoMasks:
-    """The pattern's masks, built only when the pattern differs from the last one.
-
-    ``'ab'`` and ``b'ab'`` are different keys, as a str never equals
-    bytes. A build goes through the module's ``smalgo_precompute``, so a
-    replacement of that name sees every build.
-    """
-    global _last_masks
-    last, masks = _last_masks
-    if last != pattern:
-        masks = smalgo_precompute(pattern)
-        _last_masks = pattern, masks
-    return masks
+    """The last pattern's masks, built through the module's ``smalgo_precompute``."""
+    return smalgo_precompute(pattern)
 
 
 def _single_symbol_search(algorithm: str, pattern, text) -> MatchReport:

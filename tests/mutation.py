@@ -5,8 +5,10 @@ Each mutant replaces one line of ``src/swapmatch``. The script copies
 the test file that guards the mutated code with the copy first on the
 import path: the conformance harness for the correct engines and the
 oracle, the frozen fixtures of ``test_smalgo.py`` for the knowingly
-flawed SMALGO engines, ``test_report.py`` for ``MatchReport``, and
-``test_cli.py`` for the CLI's error and output handling. A
+flawed SMALGO engines (and the graph edge rule their masks are read
+from), the ``determinize`` tests of ``test_dfa.py`` for the signal-state
+walk, ``test_report.py`` for ``MatchReport``, and ``test_cli.py`` for
+the CLI's error and output handling. A
 mutant is killed when that run fails. Mutants that cannot change any
 output (they only change how much work is done) carry the reason in
 ``equivalent`` and are expected to survive.
@@ -36,6 +38,7 @@ GUARDS = {
     "smalgo-fixtures": ["tests/test_smalgo.py", "-k", "frozen or fixture"],
     "report": ["tests/test_report.py"],
     "cli": ["tests/test_cli.py"],
+    "dfa": ["tests/test_dfa.py", "-k", "determinize"],
 }
 
 
@@ -121,22 +124,32 @@ MUTANTS = (
     Mutant("stream-rescans-last-chunk", "gsm.py",
            "pending = []\n        size = 0", "pending = pending[-1:]\n        size = 0",
            "conformance"),
-    # smalgo.smalgo_precompute (knowingly flawed engines: frozen fixtures)
-    Mutant("smalgo-edge-rule-flipped", "smalgo.py",
-           "if (r2 == -1) != (r1 == 1):", "if (r2 == -1) == (r1 == 1):",
+    # model.build_pgraph: the edge rule the SMALGO masks are read from
+    # (knowingly flawed engines: frozen fixtures)
+    Mutant("smalgo-edge-rule-flipped", "model.py",
+           "if (w[0] == -1) == (r == 1)", "if (w[0] == -1) != (r == 1)",
            "smalgo-fixtures"),
+    # smalgo.smalgo_precompute
     Mutant("smalgo-pmask3-without-bit-one", "smalgo.py",
            "pmask3.get(triple, 1) | bit", "pmask3.get(triple, 0) | bit",
            "smalgo-fixtures"),
-    # smalgo._pattern_masks: the one-entry mask cache
+    # smalgo._pattern_masks: the one-entry mask cache, here keyed on the
+    # pattern's length
     Mutant("smalgo-masks-cache-stale", "smalgo.py",
-           "if last != pattern:", "if len(last or ()) != len(pattern):",
+           "return smalgo_precompute(pattern)",
+           "return _pattern_masks.__dict__.setdefault(len(pattern), smalgo_precompute(pattern))",
            "smalgo-fixtures"),
     # smalgo.smalgo2_search: the column filter read from the landing rows
     Mutant("smalgo2-filter-drops-middle", "smalgo.py",
            "r &= (u | dn | mi | 1) & d", "r &= (u | dn | 1) & d", "smalgo-fixtures"),
     Mutant("smalgo2-filter-drops-column-one", "smalgo.py",
            "r &= (u | dn | mi | 1) & d", "r &= (u | dn | mi) & d", "smalgo-fixtures"),
+    # dfa.determinize: the signal-state walk
+    Mutant("determinize-no-fresh-signal", "dfa.py",
+           "rm_prop = (rm | ru) << 1 | 1", "rm_prop = (rm | ru) << 1", "dfa"),
+    Mutant("determinize-row-filters-swapped", "dfa.py",
+           "filters.append((d << 1, d, d >> 1))", "filters.append((d >> 1, d, d << 1))",
+           "dfa"),
     # dfa.minimize (the conformance dfa engine)
     Mutant("minimize-stops-after-one-round", "dfa.py",
            "if len(ids) == n_blocks:", "if True:", "conformance"),

@@ -883,6 +883,20 @@ def test_bench_csv_schema():
     assert row8[8] == "5"
 
 
+def test_cli_import_loads_neither_statistics_nor_csv():
+    # bench and dfa-states import them in their own bodies, so no other
+    # command pays for them at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, swapmatch.cli; print(sorted({'statistics', 'csv'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_bench_rejects_low_reps():
     code, _, err = invoke(["bench", "--reps", "2", "--t", "1000"])
     assert code == 2

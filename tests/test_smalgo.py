@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from swapmatch import smalgo
+from swapmatch import model, smalgo
 from swapmatch.bitvec import BitVector
+from swapmatch.cli import main
 from swapmatch.model import build_pgraph
 from swapmatch.oracle import oracle_search
 from swapmatch.report import MatchReport
@@ -264,24 +265,45 @@ def test_compare_with_oracle_equals_one_scan_per_algorithm():
     assert results["smalgo1"].pairs_scanned == len(pats) * len(txts)
 
 
-def test_mask_cache_keys_on_the_pattern(monkeypatch):
-    # the engines share one cached mask build per pattern; a str pattern
-    # and its bytes form, or two patterns in turn, must not share masks
+def _count_graph_builds(monkeypatch):
+    """Empty both one-entry caches and record every pattern graph built."""
+    model._pgraph.cache_clear()
+    smalgo._pattern_masks.cache_clear()
+    builds = []
+
+    def counting(pattern):
+        builds.append(pattern)
+        return build_pgraph(pattern)
+
+    monkeypatch.setattr(model, "build_pgraph", counting)
+    return builds
+
+
+def test_mask_cache_keys_on_the_pattern():
+    # BMA and both SMALGO engines share one cached graph and one mask
+    # build per pattern; a str pattern and its bytes form, or patterns A,
+    # B, A in turn, must not share them
     runs = [("abab", "aababbaba"), (b"abab", b"aababbaba"), ("abab", "aaba"),
             ("abba", "abbaabab"), ("abab", "abbaabab"), ("abba", "abbaabab"),
             (b"abba", b"abbaabab"), ("abab", "aababbaba")]
-    engines = (smalgo1_search, smalgo2_search)
+    engines = (SEARCHERS["bma"], smalgo1_search, smalgo2_search)
     cached = [search(p, t).positions for p, t in runs for search in engines]
-    monkeypatch.setattr(smalgo, "_pattern_masks", smalgo_precompute)  # a build per call
-    fresh = [search(p, t).positions for p, t in runs for search in engines]
+    fresh = []
+    for p, t in runs:
+        for search in engines:
+            model._pgraph.cache_clear()
+            smalgo._pattern_masks.cache_clear()
+            fresh.append(search(p, t).positions)
     assert cached == fresh
     assert any(cached)
     assert smalgo_precompute("abab") is not smalgo_precompute("abab")
+    assert model._pgraph("abab") is not model._pgraph(b"abab")
 
 
 def test_compare_with_oracle_builds_masks_once_per_pattern(monkeypatch):
-    # K runs of consecutive equal patterns cost K mask builds, whatever
-    # the number of engines, texts and re-checked discrepancies
+    # K runs of consecutive equal patterns cost K graph builds and K mask
+    # builds, whatever the number of engines, texts and re-checked
+    # discrepancies
     patterns = ["abab", "abba", b"abab", "abab", "aabab"]
     texts = ["aaba", "abbaabab", "aababbaba", "babababa"]
     pairs = [
@@ -289,17 +311,27 @@ def test_compare_with_oracle_builds_masks_once_per_pattern(monkeypatch):
         for pattern in patterns
         for text in texts
     ]
-    smalgo1_search("ab", "ab")  # the cache now holds none of the patterns
-    builds = []
+    graphs = _count_graph_builds(monkeypatch)
+    masks = []
 
     def counting(pattern):
-        builds.append(pattern)
+        masks.append(pattern)
         return smalgo_precompute(pattern)
 
     monkeypatch.setattr(smalgo, "smalgo_precompute", counting)
-    results = compare_with_oracle(pairs, ["smalgo1", "smalgo2"])
-    assert builds == ["abab", "abba", b"abab", "abab", "aabab"]
+    results = compare_with_oracle(pairs, ["bma", "smalgo1", "smalgo2"])
+    assert graphs == masks == patterns
+    assert not results["bma"].discrepancies
     assert results["smalgo1"].discrepancies and results["smalgo2"].discrepancies
+
+
+def test_exhaustive_verify_builds_one_graph_per_pattern(monkeypatch, capsys):
+    graphs = _count_graph_builds(monkeypatch)
+    argv = ["verify", "--mode", "exhaustive", "--algos", "bma,smalgo1,smalgo2",
+            "--sigma", "ab", "--p-min", "2", "--p-max", "4", "--t-max", "6"]
+    assert main(argv) == 0
+    assert graphs == list(exhaustive_strings("ab", 2, 4))
+    assert "algo=smalgo1" in capsys.readouterr().out
 
 
 def test_find_discrepancies_rejects_oracle():
