@@ -389,27 +389,24 @@ def _stdout_writes() -> Iterator[None]:
 
 
 def cmd_search(args) -> int:
+    """Print the positions of each scan as it ends.
+
+    ``--algo gsm`` scans as it reads (``gsm_scans``); a read-all algo's
+    report is one scan over the whole text. Each scan's positions are
+    checked as a ``MatchReport`` over the symbols read so far, and the
+    first of them must follow the last one printed. A jsonl line carries
+    the text length, known only at the end, so jsonl positions are held
+    and printed as one report: the one case whose memory grows with the
+    matches.
+    """
     pattern = args.pattern.encode("latin-1")
     if not pattern:
         raise ValueError("pattern must be non-empty")
     if args.algo == "gsm":
-        return _search_stream(pattern, args)
-    report = SEARCHERS[args.algo](pattern, _read_text_input(args))
-    with _stdout_writes():
-        _print_report(report, args.format)
-    return 0 if report.positions else 1
-
-
-def _search_stream(pattern: bytes, args) -> int:
-    """``search --algo gsm``: read, scan and print one scan at a time.
-
-    Each scan's positions are checked as a ``MatchReport`` over the
-    symbols read so far, and the first of them must follow the last one
-    printed. A jsonl line carries the text length, known only at the end,
-    so jsonl positions are held and printed as one report: the one case
-    whose memory grows with the matches.
-    """
-    scans = gsm_scans(pattern, _read_chunks(args))
+        scans = gsm_scans(pattern, _read_chunks(args))
+    else:
+        report = SEARCHERS[args.algo](pattern, _read_text_input(args))
+        scans = [(report.text_len, report.positions)]
     p = len(pattern)
     last = 0
     held: list[int] = []
@@ -418,7 +415,7 @@ def _search_stream(pattern: bytes, args) -> int:
             if args.format == "jsonl":
                 held += positions
             elif positions:
-                report = MatchReport("gsm", positions, p, scanned)
+                report = MatchReport(args.algo, positions, p, scanned)
                 if positions[0] <= last:
                     raise ValueError(
                         f"positions not strictly increasing: {positions[0]} follows {last}"
@@ -426,7 +423,7 @@ def _search_stream(pattern: bytes, args) -> int:
                 last = positions[-1]
                 _print_report(report, "text")
         if held:
-            _print_report(MatchReport("gsm", held, p, scanned), "jsonl")
+            _print_report(MatchReport(args.algo, held, p, scanned), "jsonl")
     return 0 if last or held else 1
 
 

@@ -13,22 +13,24 @@ values, kept as the reference. ``gsm_scans``, the one scan loop behind
 ``gsm_search``, ``gsm_search_stream`` and ``search --algo gsm``, runs
 the same recurrence transposed, for speed: bit-parallel over blocks of
 text positions, one pattern column at a time, so Python pays per column
-and per block instead of per symbol. A block carries to the next one the
-columns 0..p-2 of its signals at its last position, the only ones a later
-column reads, and it stops as soon as every window in it has died and no
-carried signal is left to enter it. A block's occurrence ints take one
-translate per pattern symbol, or per four symbols packed in hex nibbles
-when the pattern has more than two, and a block still alive after a few
-columns, by its own signals or by carries still to enter, is cut to the
-span they can still reach. A swap exchanges two unequal symbols, so the
-scan keeps no pending-swap signal at a column whose symbol equals the
-next one: there it is a subset of the unswapped signal and feeds nothing
-that signal does not. ``gsm_step`` and the scan are equivalence-tested
-against each other and against the brute-force oracle.
+and per block instead of per symbol. Each block reads p - 1 symbols past
+its end and reports the windows that start in it, so every window is
+found whole in one block and no signal crosses a block edge; a scan
+likewise keeps only the last p - 1 symbols it read for the next one. A
+block stops as soon as every window in it has died. A block's occurrence
+ints take one translate per pattern symbol, or per four symbols packed
+in hex nibbles when the pattern has more than two, and a block still
+alive after a few columns is cut to the span its signals can still
+reach. A swap exchanges two unequal symbols, so the scan keeps no
+pending-swap signal at a column whose symbol equals the next one: there
+it is a subset of the unswapped signal and feeds nothing that signal
+does not. ``gsm_step`` and the scan are equivalence-tested against each
+other and against the brute-force oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from binascii import a2b_hex
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -114,9 +116,10 @@ BLOCK = 1 << 15
 # and without a re-base p = 512 is 60% slower.
 REBASE_COLUMN = 16
 
-# bit 0 of each nibble of a block's hex lanes. ``&`` costs only the shorter
-# operand, so one mask as wide as a whole block serves every block.
-_LANES = int.from_bytes(b"\x11" * (BLOCK // 2), "big")
+# bit 0 of each nibble of a block's hex lanes. A block holds BLOCK + p - 1
+# symbols, so a mask of two blocks' lanes serves every p <= BLOCK + 1;
+# ``&`` costs only the shorter operand, so its width costs nothing.
+_LANES = int.from_bytes(b"\x11" * BLOCK, "big")
 
 
 class _ZeroMap(dict):
@@ -134,8 +137,8 @@ class _Occurrences(dict):
 
     shift = 0
 
-    def __init__(self, block, tables, w):
-        self.block, self.tables, self.w = block, tables, w
+    def __init__(self, block, tables, w, lanes):
+        self.block, self.tables, self.w, self.lanes = block, tables, w, lanes
         self.groups = {}
 
     def __missing__(self, k):
@@ -148,7 +151,7 @@ class _Occurrences(dict):
                 hexits = hexits.zfill(len(hexits) + len(hexits) % 2)
                 self.groups[g] = int.from_bytes(a2b_hex(hexits), "big")
             group = self.groups[g]
-            value = (group >> r if r else group) & _LANES
+            value = (group >> r if r else group) & self.lanes
         if self.shift:
             value >>= self.shift
         self[k] = value
@@ -165,8 +168,8 @@ def _mask_triples(pattern: str | bytes):
     also ``None`` where pat[i] == pat[i+1], since a swap exchanges only
     unequal symbols. There the pending-swap signal B_i = S(A_{i-1}) &
     O[pat[i+1]] (see ``_scan_chunk``) is a subset of A_i, and what it
-    feeds, S(B_i) & O[pat[i]] in A_{i+1} and its carry bit, A_i feeds
-    already; so B_i is left 0, which saves a shift, two ANDs and an OR.
+    feeds, S(B_i) & O[pat[i]] in A_{i+1}, A_i feeds already; so B_i is
+    left 0, which saves a shift, two ANDs and an OR.
 
     An occurrence int holds one lane of w bits per block position. With
     at most two pattern symbols w = 1 and ``block.translate(tables[k])``
@@ -174,9 +177,9 @@ def _mask_triples(pattern: str | bytes):
     w = 4 and ``tables[g]`` turns symbol 4g + r into the hex digit
     ``"1248"[r]``: one translate and one ``a2b_hex`` give an int with four
     occurrence ints packed one-hot in its nibbles, each taken out by
-    ``(x >> r) & _LANES``, with bit 0 of each nibble set in ``_LANES``.
-    Any other symbol becomes "0" and matches nothing. Returns ``(plan,
-    tables, w)``.
+    ``(x >> r) & lanes``, with bit 0 of each nibble set in ``lanes`` (see
+    ``_LANES``). Any other symbol becomes "0" and matches nothing.
+    Returns ``(plan, tables, w)``.
     """
     symbols = list(dict.fromkeys(pattern))
     index = {x: k for k, x in enumerate(symbols)}
@@ -227,17 +230,20 @@ def _extend_positions(out: list, a: int, first: int, w: int) -> None:
         out.extend(compress(positions, bits.encode().translate(_BIT_BYTES)))
 
 
-def _scan_chunk(table, j, p, chunk, ca, cb, out):
-    """Feed one chunk through the recurrence; returns ``(j, ca, cb)`` to carry.
+def _scan_chunk(table, j, p, chunk, out):
+    """Append to ``out`` the 1-based positions of the windows of ``chunk``
+    that fit in it; ``j`` is the number of text symbols before the chunk.
 
     The recurrence runs transposed: bit-parallel over the text positions
-    of a block of ``BLOCK`` symbols, one pattern column at a time. In a
-    block of n symbols, lane n-1-k of an int (w bits from bit w*(n-1-k))
-    stands for block position k, so the first symbol is the top lane and
-    a translated block reads as it is. With ``O[x]`` the occurrence int of
-    symbol x and ``S`` the shift to the next position (one lane down),
-    which brings in column i-1 of the state carried from the previous
-    block, column i takes
+    of a block, one pattern column at a time. Block b holds
+    ``chunk[b*BLOCK : b*BLOCK + BLOCK + p - 1]``, so each window that
+    starts in its first ``BLOCK`` positions lies whole in it; every window
+    is found in the block where it starts, and no signal crosses a block
+    edge. In a block of n symbols, lane n-1-k of an int (w bits from bit
+    w*(n-1-k)) stands for block position k, so the first symbol is the
+    top lane and a translated block reads as it is. With ``O[x]`` the
+    occurrence int of symbol x and ``S`` the shift to the next position
+    (one lane down), column i takes
 
         A_i = S(A_{i-1}) & O[pat[i]] | S(B_{i-1}) & O[pat[i-1]]
         B_i = S(A_{i-1}) & O[pat[i+1]]
@@ -248,91 +254,78 @@ def _scan_chunk(table, j, p, chunk, ca, cb, out):
     position. A block costs one C pass of ``translate`` per pattern symbol
     (w = 1) or per four of them (w = 4, see ``_mask_triples``), plus a few
     big-int operations per column over the lanes up to the top live one.
-    A block stops early once A_i and B_i are 0 and no carried bit at
-    column i - 1 or above is left; on random text that is after a handful
-    of columns whatever p is. A block still alive at ``REBASE_COLUMN`` is
-    re-based: signals move one lane down per column, so lanes more than
-    p - i below the lowest live one cannot reach a match; they are shifted
-    out, and a column then costs the live span, not the whole block. A
-    shift by 0 would copy each int for nothing, so none is made.
-    Carries still to enter come in at the top lane, so it counts as live:
-    a block that a straddling copy reaches only through carries is
-    re-based too. ``gsm_step`` is the literal 13-op per-symbol reference.
-
-    ``j`` counts the symbols scanned before the chunk; ``ca`` and ``cb``
-    carry A and B at the last position scanned (bit i for column i) into
-    the next call. They hold columns 0..p-2 only, recorded from lane 0 at
-    the top of the next column: column p - 1 is a match, which no later
-    column reads. The first call passes 0 for all three.
+    A block stops early once A_i and B_i are 0; on random text that is
+    after a handful of columns whatever p is. A block still alive at
+    ``REBASE_COLUMN`` is re-based: signals move one lane down per column,
+    so lanes more than p - i below the lowest live one cannot reach a
+    match; they are shifted out, and a column then costs the live span,
+    not the whole block. A shift by 0 would copy each int for nothing, so
+    none is made. ``gsm_step`` is the literal 13-op per-symbol reference.
     """
     plan, tables, w = table
+    lanes = _LANES
+    if p > BLOCK + 1:  # a block holds more lanes than _LANES covers
+        lanes = int.from_bytes(b"\x11" * ((BLOCK + p) // 2), "big")
     cur0, _, nxt0 = plan[0]
-    for start in range(0, len(chunk), BLOCK):
-        block = chunk[start:start + BLOCK]
-        n = len(block)
-        top = 1 << w * (n - 1)
-        occ = _Occurrences(block, tables, w)
+    for start in range(0, len(chunk) - p + 1, BLOCK):
+        block = chunk[start:start + BLOCK + p - 1]
+        occ = _Occurrences(block, tables, w, lanes)
         a = occ[cur0]
         b = 0 if nxt0 is None else occ[nxt0]
-        live = ca | cb
-        na = nb = s = 0
+        s = 0
         for i in range(1, p):
-            if not (a or b or live >> (i - 1)):
+            if not (a or b):
                 break  # a is 0: no match in this block
-            na |= (a & 1) << (i - 1)
-            nb |= (b & 1) << (i - 1)
             if i == REBASE_COLUMN:
-                # the lowest live lane lo, counting the top lane where pending
-                # carries enter, ends at lo - (p - i) by column p - 1, which
-                # no carry records; the lanes below that are shifted out
-                ab = a | b | top
+                # the lowest live lane lo ends at lo - (p - i) by column
+                # p - 1; the lanes below that are shifted out
+                ab = a | b
                 s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i))
                 if s:
-                    a, b, top = a >> w * s, b >> w * s, top >> w * s
+                    a, b = a >> w * s, b >> w * s
                     occ.shift = w * s
                     for k in occ:
                         occ[k] >>= w * s
             cur, prev, nxt = plan[i]
             sa = a >> w
             sb = b >> w
-            if (ca >> (i - 1)) & 1:
-                sa |= top
-            if (cb >> (i - 1)) & 1:
-                sb |= top
             a = sa & occ[cur]
             if sb:
                 a |= sb & occ[prev]
             b = sa & occ[nxt] if sa and nxt is not None else 0
         if a:
-            first = j + n - s + 2 - p - (a.bit_length() + w - 1) // w
+            first = j + start + len(block) - s + 2 - p - (a.bit_length() + w - 1) // w
             _extend_positions(out, a, first, w)
-        j += n
-        ca, cb = na, nb
-    return j, ca, cb
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(pattern: str | bytes):
+    """The last pattern's ``_mask_triples`` (``'ab'`` and ``b'ab'`` differ);
+    built through the module global, shared, so read-only."""
+    return _mask_triples(pattern)
 
 
 def gsm_scans(
     pattern: str | bytes, chunks: Iterable[str | bytes]
 ) -> Iterator[tuple[int, list[int]]]:
-    """The one GSM scan loop: yields ``(symbols scanned, positions)`` per scan.
+    """The one GSM scan loop: yields ``(symbols read, positions)`` per scan.
 
-    Chunks are gathered until at least ``BLOCK`` symbols are pending, and
-    then all of them are scanned: whole blocks and at most one short one,
-    whose state the carries take on to the next scan. So no chunk is cut,
-    each scan covers at least one block, and memory stays bounded by one
-    block plus one chunk, and one scan's positions. A scan's positions
-    are those whose window ends in it, ascending, and every later scan's
-    come after them.
+    Chunks are gathered until at least ``BLOCK`` new symbols are pending,
+    and then the last p - 1 symbols of the scan before and all of them
+    are scanned. So no chunk is cut, every window lies whole in the scan
+    where it is reported, and memory stays bounded by one block plus
+    p - 1 symbols plus one chunk, and one scan's positions. A scan's
+    positions are those whose window ends in it, ascending, and every
+    later scan's come after them.
     """
     p = len(pattern)
     if p == 0:
         raise ValueError("pattern must be non-empty")
     is_bytes = isinstance(pattern, bytes)
-    table = _mask_triples(pattern)
+    table = _plan(pattern)
     join = b"".join if is_bytes else "".join
-    j = a = b = 0
+    read = size = 0
     pending: list = []
-    size = 0
     for chunk in chunks:
         if is_bytes != isinstance(chunk, bytes):
             raise TypeError("chunks must match the pattern type")
@@ -340,15 +333,19 @@ def gsm_scans(
         size += len(chunk)
         if size < BLOCK:
             continue
+        text = join(pending)
+        read += size
         out: list[int] = []
-        j, a, b = _scan_chunk(table, j, p, join(pending), a, b, out)
-        pending = []
+        _scan_chunk(table, read - len(text), p, text, out)
+        pending = [text[max(0, len(text) - p + 1):]]
         size = 0
-        yield j, out
+        yield read, out
     if size:
+        text = join(pending)
+        read += size
         out = []
-        j, a, b = _scan_chunk(table, j, p, join(pending), a, b, out)
-        yield j, out
+        _scan_chunk(table, read - len(text), p, text, out)
+        yield read, out
 
 
 def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
@@ -367,7 +364,8 @@ def gsm_search_stream(
 ) -> Iterator[int]:
     """Stream variant: match positions for the concatenation of the chunks.
 
-    Memory stays bounded by one block plus one chunk (see ``gsm_scans``).
+    Memory stays bounded by one block plus p - 1 symbols plus one chunk
+    (see ``gsm_scans``).
     Positions are yielded once the scan holding their last symbol is
     done, at the latest when the chunks run out.
     """

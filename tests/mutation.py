@@ -52,34 +52,16 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # gsm._scan_chunk: the carry out of a block
-    Mutant("carry-a-one-column-late", "gsm.py",
-           "na |= (a & 1) << (i - 1)", "na |= (a & 1) << i", "conformance"),
-    Mutant("carry-b-dropped", "gsm.py",
-           "nb |= (b & 1) << (i - 1)", "nb |= 0", "conformance"),
-    Mutant("carry-start-from-column-0", "gsm.py",
-           "na = nb = s = 0", "na, nb, s = a & 1, b & 1, 0", "conformance",
-           "column 1 records the same bit 0; with p = 1 the bit is column p - 1, "
-           "which no column reads"),
-    Mutant("carry-a-not-entered", "gsm.py",
-           "sa |= top", "sa |= 0", "conformance"),
-    Mutant("carry-b-not-entered", "gsm.py",
-           "sb |= top", "sb |= 0", "conformance"),
+    # gsm._scan_chunk: the overlap of a block with the next one
+    Mutant("block-overlap-one-short", "gsm.py",
+           "start + BLOCK + p - 1]", "start + BLOCK + p - 2]", "conformance"),
     # gsm._scan_chunk: early exit and re-base
-    Mutant("exit-ignores-carries", "gsm.py",
-           "if not (a or b or live >> (i - 1)):", "if not (a or b):", "conformance"),
-    Mutant("exit-reads-carries-one-column-late", "gsm.py",
-           "live >> (i - 1)):", "live >> i):", "conformance"),
     Mutant("rebase-by-zero-shifts", "gsm.py",
            "if s:", "if True:", "conformance",
            "a shift by 0 copies each int and changes no bit"),
     Mutant("rebase-never", "gsm.py",
            "if i == REBASE_COLUMN:", "if i == -1:", "conformance",
            "the re-base drops only lanes that cannot reach a match by column p - 1"),
-    Mutant("rebase-ignores-pending-carries", "gsm.py",
-           "ab = a | b | top", "ab = a | b", "conformance",
-           "with a | b = 0 the shift is 0; otherwise a | b has a lane no higher "
-           "than the top lane, so the shift is the same or smaller"),
     Mutant("rebase-keeps-one-more-lane", "gsm.py",
            "// w - (p - i))", "// w - (p - i) - 1)", "conformance",
            "shifting one lane less keeps one lane that no signal reaches"),
@@ -92,13 +74,14 @@ MUTANTS = (
     Mutant("rebase-later-occurrences-shift-skipped", "gsm.py",
            "if self.shift:", "if False:", "conformance"),
     Mutant("positions-ignore-rebase", "gsm.py",
-           "first = j + n - s + 2 - p", "first = j + n + 2 - p", "conformance"),
+           "len(block) - s + 2 - p", "len(block) + 2 - p", "conformance"),
     # gsm: occurrence ints and position extraction
     Mutant("nibble-select-off-by-one", "gsm.py",
-           "(group >> r if r else group) & _LANES", "(group >> (r + 1)) & _LANES",
+           "(group >> r if r else group) & self.lanes", "(group >> (r + 1)) & self.lanes",
            "conformance"),
     Mutant("nibble-mask-one-byte-short", "gsm.py",
-           'b"\\x11" * (BLOCK // 2)', 'b"\\x11" * (BLOCK // 2 - 1)', "conformance"),
+           'b"\\x11" * ((BLOCK + p) // 2)', 'b"\\x11" * ((BLOCK + p) // 2 - 1)',
+           "conformance"),
     Mutant("extract-always-by-find", "gsm.py",
            "if a.bit_count() * 8 < len(bits):", "if True:", "conformance",
            "find and compress read the same set lanes; the threshold picks the "
@@ -119,11 +102,14 @@ MUTANTS = (
     # gsm.gsm_scans: the one scan loop behind gsm_search, the stream and the CLI
     Mutant("stream-scans-every-chunk", "gsm.py",
            "if size < BLOCK:", "if size < 1:", "conformance",
-           "the carries take the state across any cut, so smaller scans give the "
+           "each scan starts p - 1 symbols early, so a window across any cut is "
+           "found whole in the scan where it ends, and smaller scans give the "
            "same positions"),
     Mutant("stream-rescans-last-chunk", "gsm.py",
-           "pending = []\n        size = 0", "pending = pending[-1:]\n        size = 0",
+           "pending = [text[max(0, len(text) - p + 1):]]", "pending = pending[-1:]",
            "conformance"),
+    Mutant("stream-tail-one-short", "gsm.py",
+           "len(text) - p + 1):]]", "len(text) - p + 2):]]", "conformance"),
     # model.build_pgraph: the edge rule the SMALGO masks are read from
     # (knowingly flawed engines: frozen fixtures)
     Mutant("smalgo-edge-rule-flipped", "model.py",

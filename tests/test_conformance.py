@@ -8,10 +8,12 @@ flawed SMALGO engines are not here; fixtures pin them instead.
 
 The engines that scan in blocks of ``BLOCK`` symbols (``BLOCK_ENGINES``)
 also run on texts of two blocks and more, with swapped copies planted
-across every block edge and where a block gets re-based, and with a run
-of matches at consecutive positions. ``bma``, ``dfa`` and ``gsm_step``
-are left out there: they cost O(t·p) per instance, and the DFA of a
-p = 512 pattern is too large to build.
+across every block edge and where a block gets re-based, with a pattern
+longer than a block, and with a run of matches at consecutive positions.
+The stream engine cuts its input at every block edge and a few random
+places. ``bma``, ``dfa`` and ``gsm_step`` are left out there: they cost
+O(t·p) per instance, and the DFA of a p = 512 pattern is too large to
+build.
 """
 
 import functools
@@ -54,7 +56,8 @@ def _step_chain(pattern, text):
 
 def _stream_random_cuts(pattern, text):
     rng = random.Random(f"{pattern}|{text}")
-    cuts = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(0, 4)))
+    cuts = [rng.randint(0, len(text)) for _ in range(rng.randint(0, 4))]
+    cuts = sorted([*cuts, *range(BLOCK, len(text), BLOCK)])
     chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
     return tuple(gsm_search_stream(pattern, chunks))
 
@@ -124,6 +127,8 @@ BLOCK_ENGINES = ("gsm", "gsm_stream")
 BLOCK_PATTERN_LENGTHS = (1, 2, 31, 64, 65, 512)
 # a block is re-based only when p is well above REBASE_COLUMN
 REBASE_PATTERN_LENGTHS = (64, 512)
+# a block reads p - 1 symbols past its end, more than a block here
+LONG_PATTERN_LENGTH = BLOCK + 37
 
 # (pattern symbols, text symbols, also as bytes): two symbols take the
 # 1-bit lanes; ACGT takes the hex lanes, and the N in the text matches no
@@ -179,6 +184,15 @@ def _rebase_text(pattern: str, sigma: str, seed: int) -> tuple[str, list[int]]:
     return _plant(pattern, sigma, 3 * BLOCK + 2 * p + 177, starts, seed), starts
 
 
+def _long_text(pattern: str, sigma: str, seed: int) -> tuple[str, list[int]]:
+    """Random text of 3 blocks and a bit for a pattern longer than a block,
+    with a swapped copy at the first position, the top lane of a block
+    that reads p - 1 symbols past its end, and one across block edges 2
+    and 3. Returns the text and the copies' starts."""
+    starts = [0, 2 * BLOCK - 20]
+    return _plant(pattern, sigma, 3 * BLOCK + 700, starts, seed), starts
+
+
 @functools.cache
 def _block_cases():
     """(pattern, text, planted 1-based starts) for every block instance."""
@@ -187,6 +201,7 @@ def _block_cases():
         rng = random.Random(seed)
         planted = [(p, _planted_text) for p in BLOCK_PATTERN_LENGTHS]
         planted += [(p, _rebase_text) for p in REBASE_PATTERN_LENGTHS]
+        planted.append((LONG_PATTERN_LENGTH, _long_text))
         for p, make in planted:
             pattern = "".join(rng.choice(pattern_sigma) for _ in range(p))
             if make is _rebase_text:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from swapmatch import gsm
 from swapmatch.bitvec import BitVector, count_ops
+from swapmatch.cli import main
 from swapmatch.gsm import (
     BLOCK,
     GsmState,
@@ -20,12 +21,12 @@ from swapmatch.gsm import (
     zero_state,
 )
 from swapmatch.oracle import oracle_match_at, oracle_search
+from swapmatch.smalgo import exhaustive_strings
 
 from test_conformance import (
     BLOCK_PATTERN_LENGTHS,
     _block_cases,
     _oracle_positions,
-    _plant,
     _planted_text,
     _rebase_text,
 )
@@ -444,22 +445,26 @@ def test_stream_across_blocks_any_cut(as_bytes):
         ), len(pattern)
 
 
-# -- what a block carries and where it is re-based -----------------------------
-# Neither rule changes an output, so no oracle test can catch a slip in one.
+# -- what a block reads and where it is re-based --------------------------------
+# Neither rule changes an output of a whole search, so no oracle test can
+# catch a slip in one.
 
 
 @pytest.mark.parametrize("sigma", ["ab", "ACGT"])
 @pytest.mark.parametrize("p", [64, 512])
-def test_carry_out_holds_only_columns_a_later_block_reads(sigma, p):
-    # the copy matches at lane 0, column p - 1; the next block reads carry
-    # bits 0..p-2 only, and a bit above them would keep it from stopping early
+def test_block_finds_exactly_the_windows_that_start_in_it(sigma, p):
+    # a block reads p - 1 symbols past its end and no signal crosses an
+    # edge: block k alone gives the whole text's positions in it
     rng = random.Random(p)
     pattern = "".join(rng.choice(sigma) for _ in range(p))
-    text = _plant(pattern, sigma, BLOCK, [BLOCK - p], seed=p)
-    out = []
-    j, ca, cb = _scan_chunk(_mask_triples(pattern), 0, p, text, 0, 0, out)
-    assert j == BLOCK and BLOCK - p + 1 in out
-    assert (ca | cb).bit_length() <= p - 1
+    text, starts = _planted_text(pattern, sigma, seed=p)
+    want = _oracle_positions(pattern, text)
+    assert {start + 1 for start in starts} <= set(want)
+    for k in range(4):
+        out = []
+        chunk = text[k * BLOCK:(k + 1) * BLOCK + p - 1]
+        _scan_chunk(_mask_triples(pattern), k * BLOCK, p, chunk, out)
+        assert out == [x for x in want if k * BLOCK < x <= (k + 1) * BLOCK], k
 
 
 def _record_occurrences(monkeypatch) -> list:
@@ -479,21 +484,6 @@ def _record_occurrences(monkeypatch) -> list:
 
     monkeypatch.setattr(gsm, "_Occurrences", Recording)
     return made
-
-
-def test_block_reached_only_through_carries_is_rebased(monkeypatch):
-    # a copy straddling the block edge 256/256; nothing else in block 1 is
-    # alive at the re-base column, where the copy's signals are still carries
-    # that enter at the top lane
-    made = _record_occurrences(monkeypatch)
-    p = 512
-    rng = random.Random(7)
-    pattern = "".join(rng.choice("ACGT") for _ in range(p))
-    start = BLOCK - p // 2
-    text = _plant(pattern, "ACGT", 2 * BLOCK, [start], seed=7)
-    assert gsm_search(pattern, text).positions == _oracle_positions(pattern, text)
-    assert start + 1 in _oracle_positions(pattern, text)
-    assert len(made) == 2 and made[1].shift > 0
 
 
 def test_rebase_by_zero_keeps_occurrences_and_positions(monkeypatch):
@@ -529,6 +519,24 @@ def test_plan_drops_swap_row_exactly_between_equal_symbols(pattern):
             assert nxt == numbers[pattern[i + 1]], (pattern, i)
 
 
+def test_exhaustive_verify_builds_one_plan_per_pattern(monkeypatch, capsys):
+    # the plan is cached for the last pattern, and verify runs each
+    # pattern over every text in turn
+    gsm._plan.cache_clear()
+    builds = []
+
+    def counting(pattern):
+        builds.append(pattern)
+        return _mask_triples(pattern)
+
+    monkeypatch.setattr(gsm, "_mask_triples", counting)
+    argv = ["verify", "--mode", "exhaustive", "--algos", "gsm",
+            "--sigma", "ab", "--p-min", "2", "--p-max", "4", "--t-max", "6"]
+    assert main(argv) == 0
+    assert builds == list(exhaustive_strings("ab", 2, 4))
+    assert "algo=gsm" in capsys.readouterr().out
+
+
 def _runs_pattern(sigma: str, p: int, seed: int) -> str:
     # runs of 1 to 5 equal symbols, each run's symbol unlike the last one's
     rng = random.Random(seed)
@@ -555,8 +563,8 @@ def _repeated_neighbour_cases():
 
 
 def test_repeated_neighbours_equal_oracle_across_blocks():
-    # copies straddle every block edge, where the A carry must enter what
-    # the dropped B carry would have; p >= 64 also takes the re-base
+    # copies straddle every block edge and every stream cut; p >= 64 also
+    # takes the re-base
     cuts = [k * BLOCK + d for k in (1, 2, 3) for d in (-1, 1)]
     for pattern, text, starts in _repeated_neighbour_cases():
         want = oracle_search(pattern, text).positions

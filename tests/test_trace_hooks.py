@@ -82,7 +82,10 @@ def test_search_read_all_records_read_span(tmp_path):
     assert values["cli.text_symbols"] == 2_000
     assert values["oracle.calls"] == 1
     assert values["oracle.windows"] == 2_000 - 7
-    assert values["report.positions"] == 2_000 // 4 - 1
+    # the searcher checks its report, and search checks the one scan it
+    # prints as it checks each gsm scan
+    assert values["report.calls"] == 2
+    assert values["report.positions"] == 2 * (2_000 // 4 - 1)
 
 
 def test_verify_random_records_oracle_and_reverify_spans(tmp_path):
