@@ -135,3 +135,8 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector({self.length}, {self.value:#b})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default route sets
+        # the slots with setattr, which an immutable vector refuses
+        return BitVector, (self.length, self.value)

@@ -27,7 +27,6 @@ import re
 import sys
 import time
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import dataclass
 from random import Random
 from typing import Collection, Iterator, Sequence
 
@@ -43,7 +42,7 @@ from .dfa import (
 from .gsm import BLOCK, gsm_scans
 from .model import build_pgraph
 from .oracle import oracle_search
-from .report import MatchReport
+from .report import MatchReport, _Record
 from .smalgo import (
     SEARCHERS,
     compare_with_oracle,
@@ -74,8 +73,7 @@ READ_CHUNK = BLOCK
 MAX_READ_ALL = 1 << 24
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(_Record):
     """One benchmark measurement (median over repetitions)."""
 
     algo: str
@@ -565,7 +563,12 @@ def cmd_dfa_states(args) -> int:
 
 def cmd_bench(args) -> int:
     algos = _parse_algos(args.algos, SEARCHERS)
-    p_list = [int(x) for x in args.p_list.split(",")]
+    try:
+        p_list = [int(x) for x in args.p_list.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"p-list must be comma-separated integers, got {args.p_list!r}"
+        ) from None
     records = run_bench(algos, p_list, args.t, args.sigma, args.seed, args.reps)
     with _stdout_writes():
         print(BENCH_CSV_HEADER)

@@ -16,12 +16,11 @@ including the pairwise distinguishing-extension argument behind it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable
 
 from .model import build_pgraph
 from .oracle import oracle_match_at
-from .report import pattern_alphabet
+from .report import _Record, pattern_alphabet
 
 DEFAULT_STATE_CAP = 1 << 20
 
@@ -33,8 +32,7 @@ class StateLimitExceeded(RuntimeError):
     """Determinization hit the configured state cap."""
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Record):
     """Deterministic automaton with a dense, total transition table."""
 
     alphabet: tuple
@@ -180,8 +178,7 @@ def distinguishing_text(k: int, i: int) -> str:
     return "ac" + "".join(blocks)
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(_Record):
     k: int
     pattern: str
     nfa_states: int

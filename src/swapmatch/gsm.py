@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import functools
 from binascii import a2b_hex
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .bitvec import BitVector
-from .report import MatchReport, check_search_inputs, pattern_alphabet
+from .report import MatchReport, _Record, check_search_inputs, pattern_alphabet
 
 
-@dataclass(frozen=True)
-class GsmState:
+class GsmState(_Record):
     """Signals of the three graph rows after some number of steps."""
 
     ru: BitVector

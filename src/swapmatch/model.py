@@ -23,9 +23,8 @@ machinery, not a production matcher.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
-from .report import MatchReport, check_search_inputs
+from .report import MatchReport, _Record, check_search_inputs
 
 Vertex = tuple[int, int]  # (row, column), row in {-1, 0, +1}, column 1-based
 
@@ -36,8 +35,7 @@ SignalState = frozenset[Vertex]
 _ROWS = (-1, 0, 1)
 
 
-@dataclass(frozen=True)
-class PGraph:
+class PGraph(_Record):
     """The 3 x p swap graph of a pattern, as three tables.
 
     ``labels`` maps each vertex to its symbol, column by column, rows -1,

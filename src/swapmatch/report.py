@@ -1,8 +1,8 @@
-"""Search results shared by every matcher in the package."""
+"""Search results shared by every matcher in the package, and the
+immutable record class that every result in the package is built on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import lt
 
@@ -36,8 +36,74 @@ def pattern_alphabet(pattern, alphabet=None) -> frozenset:
     return declared
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class _Record:
+    """An immutable value record: the base of every result class in the package.
+
+    A subclass declares its fields as class annotations, in order; a
+    class-level value is that field's default. It is built positionally
+    or by keyword, and then ``__post_init__`` checks it. Records with
+    equal fields of the same class are equal and hash alike (a record
+    holding a dict is unhashable), the ``repr`` lists every field, and
+    assigning or deleting an attribute raises ``AttributeError``. Pickle
+    and ``copy`` restore the fields without running the check again. A
+    record built per search overrides ``__init__`` with one that stores
+    its fields directly; this generic one binds arguments by name.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given"
+            )
+        store = self.__dict__
+        store.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                store[name] = kwargs.pop(name)
+            elif name in cls.__dict__:
+                store[name] = cls.__dict__[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a record with an invariant overrides this."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MatchReport(_Record):
     """Positions (1-based match starts, ascending) reported by one algorithm.
 
     Construction checks that the positions strictly increase and that
@@ -55,11 +121,21 @@ class MatchReport:
     pattern_len: int
     text_len: int
 
+    def __init__(
+        self, algorithm: str, positions: tuple[int, ...], pattern_len: int, text_len: int
+    ) -> None:
+        fields = self.__dict__
+        fields["algorithm"] = algorithm
+        fields["positions"] = positions
+        fields["pattern_len"] = pattern_len
+        fields["text_len"] = text_len
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         pos = self.positions
         if not isinstance(pos, tuple):
             pos = tuple(pos)
-            object.__setattr__(self, "positions", pos)
+            self.__dict__["positions"] = pos
         if not pos:
             return
         if not all(map(lt, pos, islice(pos, 1, None))):

@@ -30,21 +30,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .bitvec import BitVector
 from .gsm import gsm_search
 from .model import _pgraph, bma_search
 from .oracle import oracle_match_at, oracle_search
-from .report import MatchReport, check_search_inputs
+from .report import MatchReport, _Record, check_search_inputs
 
 Pair = tuple[object, object]
 Triple = tuple[object, object, object]
 
 
-@dataclass(frozen=True)
-class SmalgoMasks:
+class SmalgoMasks(_Record):
     """Every SMALGO mask as an int; column c of the pattern graph sits at bit c - 1.
 
     ``dtilde[x]`` marks columns whose degenerate symbol set contains x
@@ -124,8 +122,7 @@ def _single_symbol_search(algorithm: str, pattern, text) -> MatchReport:
     return MatchReport(algorithm, positions, 1, len(text))
 
 
-@dataclass(frozen=True)
-class Smalgo1Step:
+class Smalgo1Step(_Record):
     """One full SMALGO-I iteration, as displayed in a mask-table trace."""
 
     j: int  # 1-based index of the text symbol whose vector is produced
@@ -265,8 +262,7 @@ def _reported_positions(search, pattern, text) -> frozenset:
     return frozenset(search(pattern, text).positions)
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(_Record):
     """A position where an algorithm and the oracle disagree; re-verified on construction."""
 
     algorithm: str
@@ -274,6 +270,17 @@ class Discrepancy:
     text: str | bytes
     position: int
     kind: str  # "false-positive" | "false-negative"
+
+    def __init__(
+        self, algorithm: str, pattern: str | bytes, text: str | bytes, position: int, kind: str
+    ) -> None:
+        fields = self.__dict__
+        fields["algorithm"] = algorithm
+        fields["pattern"] = pattern
+        fields["text"] = text
+        fields["position"] = position
+        fields["kind"] = kind
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ("false-positive", "false-negative"):
@@ -293,8 +300,7 @@ class Discrepancy:
             )
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Record):
     discrepancies: tuple[Discrepancy, ...]
     pairs_scanned: int
 

@@ -6,9 +6,11 @@ the test file that guards the mutated code with the copy first on the
 import path: the conformance harness for the correct engines and the
 oracle, the frozen fixtures of ``test_smalgo.py`` for the knowingly
 flawed SMALGO engines (and the graph edge rule their masks are read
-from), the ``determinize`` tests of ``test_dfa.py`` for the signal-state
-walk, ``test_report.py`` for ``MatchReport``, and ``test_cli.py`` for
-the CLI's error and output handling. A
+from), the discrepancy tests of ``test_smalgo.py`` for the re-check of
+each ``Discrepancy``, the ``determinize`` tests of ``test_dfa.py`` for
+the signal-state walk, ``test_report.py`` for ``MatchReport`` and the
+value records, and ``test_cli.py`` for the CLI's error and output
+handling. A
 mutant is killed when that run fails. Mutants that cannot change any
 output (they only change how much work is done) carry the reason in
 ``equivalent`` and are expected to survive.
@@ -36,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GUARDS = {
     "conformance": ["tests/test_conformance.py"],
     "smalgo-fixtures": ["tests/test_smalgo.py", "-k", "frozen or fixture"],
+    "smalgo-discrepancy": ["tests/test_smalgo.py", "-k", "discrepancy"],
     "report": ["tests/test_report.py"],
     "cli": ["tests/test_cli.py"],
     "dfa": ["tests/test_dfa.py", "-k", "determinize"],
@@ -130,6 +133,10 @@ MUTANTS = (
            "r &= (u | dn | mi | 1) & d", "r &= (u | dn | 1) & d", "smalgo-fixtures"),
     Mutant("smalgo2-filter-drops-column-one", "smalgo.py",
            "r &= (u | dn | mi | 1) & d", "r &= (u | dn | mi) & d", "smalgo-fixtures"),
+    # smalgo.Discrepancy: every record re-verified on construction
+    Mutant("discrepancy-skips-reverify", "smalgo.py",
+           'fields["kind"] = kind\n        self.__post_init__()', 'fields["kind"] = kind',
+           "smalgo-discrepancy"),
     # dfa.determinize: the signal-state walk
     Mutant("determinize-no-fresh-signal", "dfa.py",
            "rm_prop = (rm | ru) << 1 | 1", "rm_prop = (rm | ru) << 1", "dfa"),
@@ -154,11 +161,18 @@ MUTANTS = (
            "pattern[i] != pattern[i + 1] and ", "", "conformance",
            "swapping equal symbols reads the same as not swapping: state b then "
            "implies state a and adds nothing to it"),
-    # report.MatchReport.__post_init__
+    # report.MatchReport: the check its constructor runs
     Mutant("report-order-skips-a-pair", "report.py",
            "islice(pos, 1, None)", "islice(pos, 2, None)", "report"),
     Mutant("report-range-checks-first-only", "report.py",
            "for k in (pos[0], pos[-1]):", "for k in (pos[0],):", "report"),
+    Mutant("report-skips-check", "report.py",
+           'fields["text_len"] = text_len\n        self.__post_init__()',
+           'fields["text_len"] = text_len', "report"),
+    # report._Record: the value semantics of every result record
+    Mutant("records-accept-assignment", "report.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)", "report"),
     # cli: main's error report and _stdout_writes
     Mutant("closed-pipe-reported-as-error", "cli.py",
            "if not isinstance(exc, BrokenPipeError):", "if True:", "cli"),

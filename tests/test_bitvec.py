@@ -184,3 +184,13 @@ def test_immutable():
     v = BitVector.zeros(4)
     with pytest.raises(AttributeError):
         v.value = 3
+
+
+def test_pickle_and_deepcopy_round_trip():
+    import copy
+    import pickle
+
+    v = BitVector(5, 0b10110)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(v, proto)) == v
+    assert copy.deepcopy(v) == v and copy.copy(v) == v

@@ -897,6 +897,21 @@ def test_cli_import_loads_neither_statistics_nor_csv():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_dataclasses():
+    # the result records are plain classes; dataclasses would pull in
+    # inspect and ast (and with them dis and tokenize) at every start-up
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, swapmatch.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_bench_rejects_low_reps():
     code, _, err = invoke(["bench", "--reps", "2", "--t", "1000"])
     assert code == 2
@@ -912,10 +927,13 @@ def test_bench_rejects_low_reps():
         (["--t", "0"], "error: t must be >= 1\n"),
         (["--t", "-5"], "error: t must be >= 1\n"),
         (["--p-list", "8,101"], "error: p=101 exceeds t=100\n"),
+        (["--p-list", ""], "error: p-list must be comma-separated integers, got ''\n"),
+        (["--p-list", "8,"], "error: p-list must be comma-separated integers, got '8,'\n"),
+        (["--p-list", "8,x"], "error: p-list must be comma-separated integers, got '8,x'\n"),
     ],
     ids=[
         "repeat-algo", "no-algo", "repeat-p", "negative-p", "zero-t", "negative-t",
-        "p-over-t",
+        "p-over-t", "empty-p-list", "trailing-comma", "non-integer-p",
     ],
 )
 def test_bench_bad_arguments_exit_two(argv, err, capsys):

@@ -1,8 +1,17 @@
-"""MatchReport invariant enforcement."""
+"""MatchReport invariant enforcement, and the value semantics of every result record."""
+
+import copy
+import pickle
 
 import pytest
 
+from swapmatch.bitvec import BitVector
+from swapmatch.cli import BenchRecord
+from swapmatch.dfa import Dfa, LowerBoundReport
+from swapmatch.gsm import GsmState
+from swapmatch.model import PGraph, build_pgraph
 from swapmatch.report import MatchReport
+from swapmatch.smalgo import Discrepancy, ScanResult, Smalgo1Step, SmalgoMasks, smalgo_precompute
 
 
 def test_valid_report():
@@ -69,3 +78,92 @@ def test_unsorted_error_message_is_bounded():
         MatchReport("gsm", pos, 2, 200_000)
     assert len(str(info.value)) < 200
     assert "positions[99999]=100000 >= positions[100000]=100000" in str(info.value)
+
+
+def _records():
+    """Every result record class, with its field names, one instance's
+    values, and the values of an unequal instance."""
+    g = build_pgraph("ab")
+    m = smalgo_precompute("abc")
+    v, w = BitVector(3, 0b101), BitVector(3, 0b010)
+    found = Discrepancy("smalgo1", "abab", "aaba", 1, "false-positive")
+    return [
+        (MatchReport, ("algorithm", "positions", "pattern_len", "text_len"),
+         ("gsm", (1, 3), 2, 6), ("bma", (1, 3), 2, 6)),
+        (GsmState, ("ru", "rm", "rd"), (w, v, BitVector(3, 0b001)), (w, w, w.rshift1())),
+        (PGraph, ("pattern", "labels", "columns", "successors"),
+         ("ab", g.labels, g.columns, g.successors), ("ba", g.labels, g.columns, g.successors)),
+        (SmalgoMasks, ("p", "dtilde", "pmask3", "up", "down", "middle"),
+         (3, m.dtilde, m.pmask3, m.up, m.down, m.middle),
+         (3, m.dtilde, m.pmask3, m.up, m.down, {})),
+        (Smalgo1Step,
+         ("j", "lso_r", "dtilde_cur", "rshift_dtilde_next", "pmask", "pmask_key", "r_next"),
+         (2, v, v, v, v, ("a", "b", "c"), v), (2, v, v, v, v, ("a", "b", "c"), w)),
+        (Discrepancy, ("algorithm", "pattern", "text", "position", "kind"),
+         ("smalgo1", "abab", "aaba", 1, "false-positive"),
+         ("smalgo2", "aa", "aaa", 2, "false-negative")),
+        (ScanResult, ("discrepancies", "pairs_scanned"), ((found,), 4), ((found,), 5)),
+        (Dfa, ("alphabet", "transitions", "accepting", "start"),
+         (("a", "b"), ((1, 0), (1, 1)), frozenset({1}), 0),
+         (("a", "b"), ((1, 0), (1, 1)), frozenset({1}), 1)),
+        (LowerBoundReport,
+         ("k", "pattern", "nfa_states", "dfa_states", "min_dfa_states", "bound",
+          "bound_ok", "pairs_checked", "pairs_ok"),
+         (1, "acabc", 14, 6, 4, 2, True, 1, True), (1, "acabc", 14, 6, 4, 2, True, 1, False)),
+        (BenchRecord,
+         ("algo", "p", "t", "sigma", "words", "reps", "median_ns",
+          "throughput_sym_per_s", "seed"),
+         ("gsm", 8, 100, 4, 1, 3, 1500, 6.5e7, 7), ("gsm", 8, 100, 4, 1, 3, 1500, 6.5e7, 8)),
+    ]
+
+
+UNHASHABLE = {"PGraph", "SmalgoMasks"}  # they hold dicts
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_records_are_immutable_values(index):
+    cls, names, values, other = _records()[index]
+    rec = cls(*values)
+    assert rec == cls(**dict(zip(names, values)))
+    assert rec != cls(*other)
+    assert rec != values and rec != object()
+    assert tuple(getattr(rec, name) for name in names) == values
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(rec) == f"{cls.__qualname__}({fields})"
+    if cls.__name__ in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == hash(cls(*values))
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert tuple(getattr(rec, name) for name in names) == values
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    assert copy.deepcopy(rec) == rec
+
+
+def test_record_constructors_keep_their_signatures():
+    assert Dfa(("a",), ((0,),), frozenset()) == Dfa(("a",), ((0,),), frozenset(), 0)
+    assert Dfa(("a",), ((0,),), frozenset()).start == 0
+    for cls, names, values, _ in _records():
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{names[-1]: values[-1], "nonsense": 1})
+        with pytest.raises(TypeError):
+            cls(*values, **{names[0]: values[0]})
+
+
+def test_match_report_repr_and_keyword_checks():
+    rec = MatchReport(algorithm="gsm", positions=[1, 3], pattern_len=2, text_len=6)
+    assert repr(rec) == "MatchReport(algorithm='gsm', positions=(1, 3), pattern_len=2, text_len=6)"
+    assert MatchReport("gsm", (k for k in (1, 3)), 2, 6) == rec
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        MatchReport(algorithm="gsm", positions=[3, 1], pattern_len=2, text_len=6)
+    with pytest.raises(ValueError, match="position 6 outside 1..5"):
+        MatchReport(algorithm="gsm", positions=(6,), pattern_len=2, text_len=6)
