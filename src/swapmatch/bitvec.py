@@ -15,6 +15,8 @@ from collections import Counter
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
+from .report import _Record
+
 # Live operation tally, or None when instrumentation is off.  Enabled via
 # count_ops() so the bitwise cost of an algorithm step can be asserted.
 _COUNTS: Counter[str] | None = None
@@ -41,22 +43,20 @@ def count_ops() -> Iterator[Counter[str]]:
         _COUNTS = prev
 
 
-class BitVector:
-    """Immutable bit vector of a fixed logical length (may be 0)."""
+class BitVector(_Record):
+    """Immutable bit vector of a fixed logical length (may be 0).
 
-    __slots__ = ("value", "length")
+    A record with fields ``length`` and ``value``, the value masked to
+    ``length`` bits; only its ``repr``, in binary, is its own.
+    """
 
-    value: int
     length: int
+    value: int = 0
 
-    def __init__(self, length: int, value: int = 0):
-        if length < 0:
-            raise ValueError(f"bit length must be >= 0, got {length}")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "value", value & ((1 << length) - 1))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BitVector is immutable")
+    def __post_init__(self) -> None:
+        if self.length < 0:
+            raise ValueError(f"bit length must be >= 0, got {self.length}")
+        self.__dict__["value"] = self.value & ((1 << self.length) - 1)
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
@@ -125,18 +125,5 @@ class BitVector:
 
     # -- dunder plumbing -----------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.length == other.length and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.value))
-
     def __repr__(self) -> str:
         return f"BitVector({self.length}, {self.value:#b})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: the default route sets
-        # the slots with setattr, which an immutable vector refuses
-        return BitVector, (self.length, self.value)

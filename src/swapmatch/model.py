@@ -132,8 +132,10 @@ def bma_at(graph: PGraph, text: str | bytes, k: int) -> bool:
     survives, accept when a column-p vertex holds a signal, and otherwise
     move to the union of the live vertices' successors. Builds the
     sweep's indexes for this one position; ``bma_search`` builds them
-    once for all positions.
+    once for all positions. The graph's pattern and the text meet the
+    searchers' input contract.
     """
+    check_search_inputs(graph.pattern, text)
     p = len(graph.pattern)
     t = len(text)
     if not 1 <= k <= t - p + 1:

@@ -1,5 +1,5 @@
-"""Search results shared by every matcher in the package, and the
-immutable record class that every result in the package is built on."""
+"""Search results shared by every matcher in the package, and ``_Record``:
+the one immutable value type, and constructor, of every record and ``BitVector``."""
 
 from __future__ import annotations
 
@@ -45,9 +45,9 @@ class _Record:
     equal fields of the same class are equal and hash alike (a record
     holding a dict is unhashable), the ``repr`` lists every field, and
     assigning or deleting an attribute raises ``AttributeError``. Pickle
-    and ``copy`` restore the fields without running the check again. A
-    record built per search overrides ``__init__`` with one that stores
-    its fields directly; this generic one binds arguments by name.
+    and ``copy`` restore the fields without running the check again.
+    ``__init__`` binds the arguments like a function would, and is the
+    one constructor of every record.
     """
 
     _fields: tuple[str, ...] = ()
@@ -65,17 +65,16 @@ class _Record:
             )
         store = self.__dict__
         store.update(zip(fields, args))
+        for name in kwargs:
+            if name in store or name not in fields:
+                problem = "multiple values for" if name in store else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        store.update(kwargs)
         for name in fields[len(args):]:
-            if name in kwargs:
-                store[name] = kwargs.pop(name)
-            elif name in cls.__dict__:
+            if name not in store:
+                if name not in cls.__dict__:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
                 store[name] = cls.__dict__[name]
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        if kwargs:
-            name = next(iter(kwargs))
-            problem = "multiple values for" if name in fields else "an unexpected keyword"
-            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -120,16 +119,6 @@ class MatchReport(_Record):
     positions: tuple[int, ...]
     pattern_len: int
     text_len: int
-
-    def __init__(
-        self, algorithm: str, positions: tuple[int, ...], pattern_len: int, text_len: int
-    ) -> None:
-        fields = self.__dict__
-        fields["algorithm"] = algorithm
-        fields["positions"] = positions
-        fields["pattern_len"] = pattern_len
-        fields["text_len"] = text_len
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         pos = self.positions

@@ -190,6 +190,7 @@ def smalgo1_trace(pattern: str | bytes, text: str | bytes):
     """Run SMALGO-I and capture R^1 plus every full iteration's vectors."""
     if len(pattern) < 2:
         raise ValueError("trace needs a pattern of length >= 2")
+    check_search_inputs(pattern, text)
     steps: list[Smalgo1Step] = []
     r1, report = _smalgo1(pattern, text, steps)
     return BitVector(len(pattern), r1), steps, report
@@ -270,17 +271,6 @@ class Discrepancy(_Record):
     text: str | bytes
     position: int
     kind: str  # "false-positive" | "false-negative"
-
-    def __init__(
-        self, algorithm: str, pattern: str | bytes, text: str | bytes, position: int, kind: str
-    ) -> None:
-        fields = self.__dict__
-        fields["algorithm"] = algorithm
-        fields["pattern"] = pattern
-        fields["text"] = text
-        fields["position"] = position
-        fields["kind"] = kind
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in ("false-positive", "false-negative"):

@@ -9,11 +9,11 @@ flawed SMALGO engines (and the graph edge rule their masks are read
 from), the discrepancy tests of ``test_smalgo.py`` for the re-check of
 each ``Discrepancy``, the ``determinize`` tests of ``test_dfa.py`` for
 the signal-state walk, ``test_report.py`` for ``MatchReport`` and the
-value records, and ``test_cli.py`` for the CLI's error and output
-handling. A
-mutant is killed when that run fails. Mutants that cannot change any
-output (they only change how much work is done) carry the reason in
-``equivalent`` and are expected to survive.
+value records, ``test_bitvec.py`` for ``BitVector``, and ``test_cli.py``
+for the CLI's error and output handling. A mutant is killed when that
+run fails. Mutants that cannot change any output (they only change how
+much work is done) carry the reason in ``equivalent`` and are expected
+to survive.
 
     python tests/mutation.py              # every mutant
     python tests/mutation.py NAME [...]   # only the named ones
@@ -40,6 +40,7 @@ GUARDS = {
     "smalgo-fixtures": ["tests/test_smalgo.py", "-k", "frozen or fixture"],
     "smalgo-discrepancy": ["tests/test_smalgo.py", "-k", "discrepancy"],
     "report": ["tests/test_report.py"],
+    "bitvec": ["tests/test_bitvec.py"],
     "cli": ["tests/test_cli.py"],
     "dfa": ["tests/test_dfa.py", "-k", "determinize"],
 }
@@ -135,7 +136,7 @@ MUTANTS = (
            "r &= (u | dn | mi | 1) & d", "r &= (u | dn | mi) & d", "smalgo-fixtures"),
     # smalgo.Discrepancy: every record re-verified on construction
     Mutant("discrepancy-skips-reverify", "smalgo.py",
-           'fields["kind"] = kind\n        self.__post_init__()', 'fields["kind"] = kind',
+           "if (reported, truth) != (expected, not expected):", "if False:",
            "smalgo-discrepancy"),
     # dfa.determinize: the signal-state walk
     Mutant("determinize-no-fresh-signal", "dfa.py",
@@ -166,13 +167,16 @@ MUTANTS = (
            "islice(pos, 1, None)", "islice(pos, 2, None)", "report"),
     Mutant("report-range-checks-first-only", "report.py",
            "for k in (pos[0], pos[-1]):", "for k in (pos[0],):", "report"),
-    Mutant("report-skips-check", "report.py",
-           'fields["text_len"] = text_len\n        self.__post_init__()',
-           'fields["text_len"] = text_len', "report"),
-    # report._Record: the value semantics of every result record
+    # report._Record: the one constructor and the value semantics of every record
+    Mutant("records-skip-check", "report.py",
+           "        self.__post_init__()\n", "", "report"),
     Mutant("records-accept-assignment", "report.py",
            'raise AttributeError(f"cannot assign to field {name!r}")',
            "object.__setattr__(self, name, value)", "report"),
+    # bitvec.BitVector: the masking its record check runs
+    Mutant("bitvec-value-unmasked", "bitvec.py",
+           'self.__dict__["value"] = self.value & ((1 << self.length) - 1)', "pass",
+           "bitvec"),
     # cli: main's error report and _stdout_writes
     Mutant("closed-pipe-reported-as-error", "cli.py",
            "if not isinstance(exc, BrokenPipeError):", "if True:", "cli"),

@@ -194,3 +194,20 @@ def test_pickle_and_deepcopy_round_trip():
     for proto in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(v, proto)) == v
     assert copy.deepcopy(v) == v and copy.copy(v) == v
+
+
+def test_bitvector_is_a_record():
+    from swapmatch.report import _Record
+
+    v = BitVector(4, 0b10110)
+    assert isinstance(v, _Record)
+    assert v == BitVector(length=4, value=0b0110) and v != BitVector(5, 0b0110)
+    assert hash(v) == hash((4, 0b0110))
+    assert repr(v) == "BitVector(4, 0b110)"
+    assert BitVector(4) == BitVector.zeros(4)
+    with pytest.raises(AttributeError):
+        del v.value
+    with pytest.raises(ValueError, match="bit length must be >= 0"):
+        BitVector(-1)
+    with pytest.raises(TypeError):
+        BitVector(4, 1, 2)

@@ -7,6 +7,7 @@ import pytest
 
 from swapmatch.cli import main
 from swapmatch.dfa import (
+    MAX_FAMILY_K,
     Dfa,
     StateLimitExceeded,
     determinize,
@@ -420,6 +421,19 @@ def test_lower_bound_frozen_counts():
 def test_lower_bound_counts_monotone():
     counts = [verify_lower_bound(k, pair_samples=0).min_dfa_states for k in range(1, 7)]
     assert counts == sorted(counts)
+
+
+def test_lower_bound_complete_certificate_and_exact_size():
+    # every pair of the 2^k texts is separated (k <= 8): a Myhill-Nerode
+    # proof of the 2^k bound that rests on the oracle alone
+    for k in range(1, 9):
+        n = 2**k
+        r = verify_lower_bound(k, pair_samples=n * (n - 1) // 2)
+        assert r.pairs_checked == n * (n - 1) // 2
+        assert r.pairs_ok
+    # the exact minimal size, a measured formula for 2 <= k <= MAX_FAMILY_K
+    counts = [r.min_dfa_states for r in growth_table(MAX_FAMILY_K)]
+    assert counts == [21] + [37 * 2 ** (k - 1) - 3 * k - 12 for k in range(2, MAX_FAMILY_K + 1)]
 
 
 def test_lower_bound_k_cap():

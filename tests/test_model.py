@@ -92,6 +92,12 @@ def test_bma_at_position_errors():
         bma_at(g, "abc", 3)
 
 
+def test_bma_at_takes_the_search_inputs():
+    with pytest.raises(TypeError):
+        bma_at(build_pgraph("ab"), b"ab", 1)
+    assert bma_at(build_pgraph(b"ab"), b"ba", 1) is True
+
+
 def test_bma_search_examples():
     assert bma_search("acbab", "babcabc").positions == (2,)
     assert bma_search("ab", "ba").positions == (1,)

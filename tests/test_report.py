@@ -157,6 +157,8 @@ def test_record_constructors_keep_their_signatures():
             cls(*values[:-1], **{names[-1]: values[-1], "nonsense": 1})
         with pytest.raises(TypeError):
             cls(*values, **{names[0]: values[0]})
+        with pytest.raises(TypeError, match="multiple values"):
+            cls(*values[:1], **{names[0]: values[0]})
 
 
 def test_match_report_repr_and_keyword_checks():

@@ -173,6 +173,13 @@ def test_smalgo1_trace_matches_expected_run():
     assert report.positions == (1,)
 
 
+def test_smalgo1_trace_takes_the_search_inputs():
+    with pytest.raises(TypeError):
+        smalgo1_trace("abab", b"aaba")
+    with pytest.raises(ValueError, match="trace needs a pattern of length >= 2"):
+        smalgo1_trace("a", b"aaba")
+
+
 def test_smalgo1_correct_on_figure_instance():
     got = smalgo1_search("acbab", "babcabc").positions
     assert got == (2,)  # frozen from the implementation; contains the true match
