@@ -2,13 +2,17 @@
 
 A swap permutation reorders a string by disjoint transpositions of adjacent,
 unequal symbols; a pattern swap-matches a text window when some swapped
-version equals the window. This module decides that two ways:
+version equals the window. A swap exchanges two unequal symbols, so no
+swap starts where the window already equals the pattern, and one must
+start where they differ: a match decomposes in exactly one way. This
+module decides a match two ways:
 
 * explicit enumeration of every swapped version (the primitive definition,
   exponential, guarded to short patterns), and
-* a two-state linear scan usable at any pattern length.
+* a greedy left-to-right parse of the window by that one decomposition,
+  usable at any pattern length.
 
-Both routes are deliberately independent of the bit-parallel matchers so
+Neither route keeps the signal states of the bit-parallel matchers, so
 they can serve as the oracle those matchers are validated against.
 """
 
@@ -21,23 +25,18 @@ from .report import MatchReport, check_search_inputs
 S = TypeVar("S", str, bytes)
 
 # enumerate_swapped_versions() grows like Fibonacci(p+1); refuse patterns
-# where the set itself becomes unreasonable and point callers at the scan.
+# where the set itself becomes unreasonable and point callers at the parse.
 ENUMERATION_LIMIT = 26
-
-
-def _join(template: str | bytes, items: list) -> str | bytes:
-    if isinstance(template, bytes):
-        return bytes(items)
-    return "".join(items)
 
 
 def enumerate_swapped_versions(pattern: S) -> frozenset[S]:
     """All distinct swapped versions of the pattern.
 
-    Generated by choosing every set of non-overlapping adjacent
-    transpositions (i, i+1) with unequal symbols; equal-symbol swaps are
-    never generated. Raises ValueError for empty patterns and for
-    p >= 26, where the Fibonacci-sized result is no longer desk-scale.
+    Built suffix by suffix from the end of the pattern: a version of
+    pattern[i:] starts with pattern[i], or, where pattern[i] !=
+    pattern[i+1], with pattern[i+1] pattern[i]; the two starts differ, so
+    no version is built twice. Raises ValueError for empty patterns and
+    for p >= 26, where the Fibonacci-sized result is no longer desk-scale.
     """
     p = len(pattern)
     if p == 0:
@@ -47,43 +46,35 @@ def enumerate_swapped_versions(pattern: S) -> frozenset[S]:
             f"refusing to enumerate swapped versions for p={p} >= "
             f"{ENUMERATION_LIMIT}; use oracle_match_at / oracle_search"
         )
-    out: set[S] = set()
-
-    def extend(i: int, acc: list) -> None:
-        if i == p:
-            out.add(_join(pattern, acc))  # type: ignore[arg-type]
-            return
-        acc.append(pattern[i])
-        extend(i + 1, acc)
-        acc.pop()
-        if i + 1 < p and pattern[i] != pattern[i + 1]:
-            acc.append(pattern[i + 1])
-            acc.append(pattern[i])
-            extend(i + 2, acc)
-            acc.pop()
-            acc.pop()
-
-    extend(0, [])
-    return frozenset(out)
+    # the versions of pattern[i+2:] and of pattern[i+1:]
+    after, here = [pattern[:0]], [pattern[p - 1:]]
+    for i in range(p - 2, -1, -1):
+        head = pattern[i:i + 1]
+        versions = [head + v for v in here]
+        if pattern[i] != pattern[i + 1]:
+            swap = pattern[i + 1:i + 2] + head
+            versions += [swap + v for v in after]
+        after, here = here, versions
+    return frozenset(here)
 
 
 def _window_matches(pattern, text, k0: int) -> bool:
-    """Two-state scan: does text[k0 : k0+p] equal some swapped version?
+    """Greedy parse: does text[k0 : k0+p] equal some swapped version?
 
-    State a: positions 1..i of the window tiled entirely by pattern
-    positions 1..i. State b: position i consumed pattern symbol i+1 and
-    pattern symbol i is still owed to window position i+1.
+    Where the window equals the pattern no swap can start, so the parse
+    steps one symbol; where they differ a swap must start, so it needs
+    the two symbols exchanged and steps two.
     """
-    p = len(pattern)
-    a, b = True, False
-    for i in range(p):
+    p, i = len(pattern), 0
+    while i < p:
         c = text[k0 + i]
-        na = (a and c == pattern[i]) or (b and c == pattern[i - 1])
-        nb = a and i + 1 < p and pattern[i] != pattern[i + 1] and c == pattern[i + 1]
-        a, b = na, nb
-        if not (a or b):
+        if c == pattern[i]:
+            i += 1
+        elif i + 1 < p and c == pattern[i + 1] and text[k0 + i + 1] == pattern[i]:
+            i += 2
+        else:
             return False
-    return a
+    return True
 
 
 def oracle_match_at(pattern: str | bytes, text: str | bytes, k: int) -> bool:
@@ -103,7 +94,5 @@ def oracle_search(pattern: str | bytes, text: str | bytes) -> MatchReport:
     """Every 1-based position where the pattern swap-matches the text."""
     check_search_inputs(pattern, text)
     p, t = len(pattern), len(text)
-    positions = [
-        k0 + 1 for k0 in range(t - p + 1) if _window_matches(pattern, text, k0)
-    ]
+    positions = [k0 + 1 for k0 in range(t - p + 1) if _window_matches(pattern, text, k0)]
     return MatchReport("oracle", tuple(positions), p, t)

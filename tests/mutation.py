@@ -4,9 +4,10 @@ Each mutant replaces one line of ``src/swapmatch``. The script copies
 ``src/`` into a temporary directory, applies the mutant there, and runs
 the test file that guards the mutated code with the copy first on the
 import path: the conformance harness for the correct engines and the
-oracle, the frozen fixtures of ``test_smalgo.py`` for the knowingly
-flawed SMALGO engines (and the graph edge rule their masks are read
-from), the discrepancy tests of ``test_smalgo.py`` for the re-check of
+oracle (its parse, and the enumeration that its small-scope block test
+reads as the truth), the frozen fixtures of ``test_smalgo.py`` for the
+knowingly flawed SMALGO engines (and the graph edge rule their masks are
+read from), the discrepancy tests of ``test_smalgo.py`` for the re-check of
 each ``Discrepancy``, the ``determinize`` tests of ``test_dfa.py`` for
 the signal-state walk, ``test_report.py`` for ``MatchReport`` and the
 value records, ``test_bitvec.py`` for ``BitVector``, and ``test_cli.py``
@@ -155,13 +156,24 @@ MUTANTS = (
            "signal &= symbol_sets[c]", "signal -= symbol_sets[c]", "conformance"),
     Mutant("bma-successors-from-wrong-row", "model.py",
            "for w in successors[v])", "for w in successors[(0, v[1])])", "conformance"),
-    # oracle._window_matches
-    Mutant("oracle-swap-reads-own-symbol", "oracle.py",
-           "(b and c == pattern[i - 1])", "(b and c == pattern[i])", "conformance"),
-    Mutant("oracle-swaps-equal-symbols", "oracle.py",
-           "pattern[i] != pattern[i + 1] and ", "", "conformance",
-           "swapping equal symbols reads the same as not swapping: state b then "
-           "implies state a and adds nothing to it"),
+    # oracle._window_matches: the greedy parse
+    Mutant("oracle-swap-skips-second-symbol", "oracle.py",
+           " and text[k0 + i + 1] == pattern[i]:", ":", "conformance"),
+    Mutant("oracle-swap-steps-one", "oracle.py",
+           "i += 2", "i += 1", "conformance"),
+    Mutant("oracle-swap-opens-at-last-symbol", "oracle.py",
+           "elif i + 1 < p and ", "elif ", "conformance"),
+    # oracle.enumerate_swapped_versions (the truth of the small-scope block test)
+    Mutant("enumeration-swap-keeps-order", "oracle.py",
+           "swap = pattern[i + 1:i + 2] + head", "swap = head + pattern[i + 1:i + 2]",
+           "conformance"),
+    Mutant("enumeration-swap-reads-wrong-suffix", "oracle.py",
+           "for v in after]", "for v in here]", "conformance"),
+    Mutant("enumeration-swaps-equal-symbols", "oracle.py",
+           "if pattern[i] != pattern[i + 1]:", "if True:", "conformance",
+           "a swap of equal symbols builds pattern[i] pattern[i+1] + v, which the "
+           "unswapped branch already builds from pattern[i+1] + v; the frozenset "
+           "drops the duplicate"),
     # report.MatchReport: the check its constructor runs
     Mutant("report-order-skips-a-pair", "report.py",
            "islice(pos, 1, None)", "islice(pos, 2, None)", "report"),

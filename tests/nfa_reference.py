@@ -1,5 +1,6 @@
-"""Reference automata for the swap language: the pattern-graph NFA and
-generic subset construction.
+"""Reference automata for the swap language: the pattern-graph NFA,
+generic subset construction, and the Aho–Corasick automaton of the
+enumerated swapped versions.
 
 ``swapmatch.dfa.determinize`` builds the DFA as the reachable GSM signal
 states. The tests check it against the textbook route kept here: build
@@ -7,7 +8,8 @@ the NFA whose start state self-loops on the alphabet and feeds the
 pattern graph, then determinize it over frozensets of NFA states. The
 conformance ``dfa`` engine is built here too, so it does not rest on GSM,
 and so are the two runners that read a DFA table over a text
-(``dfa_accepts``, ``dfa_scan_ends``).
+(``dfa_accepts``, ``dfa_scan_ends``). ``build_version_dfa`` reaches the
+same language from the definition alone, with no pattern graph.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Mapping
 
 from swapmatch.dfa import Dfa
 from swapmatch.model import build_pgraph
+from swapmatch.oracle import enumerate_swapped_versions
 from swapmatch.report import pattern_alphabet
 
 
@@ -99,6 +102,43 @@ def reference_determinize(nfa: Nfa) -> Dfa:
         i for i, subset in enumerate(order) if subset & nfa.accepting
     )
     return Dfa(alphabet=nfa.alphabet, transitions=tuple(table), accepting=accepting)
+
+
+def build_version_dfa(pattern: str | bytes, alphabet: Iterable | None = None) -> Dfa:
+    """DFA of "anything, then a swapped version of the pattern", from the definition.
+
+    The Aho–Corasick automaton (Aho & Corasick, CACM 1975) of the set
+    ``enumerate_swapped_versions(pattern)``: the trie of the versions, in
+    which a missing move goes where the node's failure link (its longest
+    proper suffix in the trie) goes. Every version has length p, so the
+    accepting states are the trie's leaves. No pattern graph, signal
+    state or scan is involved. Nodes are numbered in insertion order;
+    compare languages through ``minimize``.
+    """
+    alpha = tuple(sorted(pattern_alphabet(pattern, alphabet), key=repr))
+    trie: list[dict] = [{}]
+    leaves = set()
+    for version in enumerate_swapped_versions(pattern):
+        node = 0
+        for x in version:
+            if x not in trie[node]:
+                trie[node][x] = len(trie)
+                trie.append({})
+            node = trie[node][x]
+        leaves.add(node)
+    table: list = [None] * len(trie)
+    table[0] = tuple(trie[0].get(x, 0) for x in alpha)
+    fail = [0] * len(trie)
+    queue = list(trie[0].values())
+    for node in queue:  # breadth first: a failure link points to a shallower node
+        row = table[fail[node]]
+        table[node] = tuple(trie[node].get(x, row[a]) for a, x in enumerate(alpha))
+        for a, x in enumerate(alpha):
+            child = trie[node].get(x)
+            if child is not None:
+                fail[child] = row[a]
+                queue.append(child)
+    return Dfa(alphabet=alpha, transitions=tuple(table), accepting=frozenset(leaves))
 
 
 def dfa_to_nfa(dfa: Dfa) -> Nfa:

@@ -14,6 +14,11 @@ The stream engine cuts its input at every block edge and a few random
 places. ``bma``, ``dfa`` and ``gsm_step`` are left out there: they cost
 O(t·p) per instance, and the DFA of a p = 512 pattern is too large to
 build.
+
+The block scan also runs with ``BLOCK`` and ``REBASE_COLUMN`` shrunk to
+1, 2 and 3, over every small instance, so that block edges and re-bases
+meet every window; there the truth is read off the enumerated swapped
+versions, so it does not rest on any scan.
 """
 
 import functools
@@ -21,19 +26,21 @@ import random
 
 import pytest
 
+import swapmatch.gsm as gsm
 from swapmatch.dfa import minimize
 from swapmatch.gsm import (
     BLOCK,
     REBASE_COLUMN,
     gsm_accepts,
     gsm_precompute,
+    gsm_scans,
     gsm_search,
     gsm_search_stream,
     gsm_step,
     zero_state,
 )
 from swapmatch.model import bma_search
-from swapmatch.oracle import oracle_search
+from swapmatch.oracle import enumerate_swapped_versions, oracle_search
 from swapmatch.smalgo import SEARCHERS, exhaustive_strings
 
 from nfa_reference import build_swap_nfa, dfa_scan_ends, reference_determinize
@@ -239,6 +246,60 @@ def test_engine_equals_oracle_across_blocks(engine):
         want = _oracle_positions(pattern, text)
         assert set(starts) <= set(want), (len(pattern), text[:1])
         assert search(pattern, text) == want, (len(pattern), text[:1])
+
+
+# -- the block scan at small scope ---------------------------------------------
+
+def _definition_cases(sigma: str, p_max: int, t_min: int, t_max: int, min_symbols: int = 1):
+    """(pattern, text, positions) for every pattern over sigma with p <= p_max
+    and at least ``min_symbols`` distinct symbols, and every text with
+    max(p, t_min) <= t <= t_max; a window matches when it is an enumerated
+    version."""
+    out = []
+    for pattern in exhaustive_strings(sigma, 1, p_max):
+        if len(set(pattern)) < min_symbols:
+            continue
+        p = len(pattern)
+        versions = enumerate_swapped_versions(pattern)
+        for text in exhaustive_strings(sigma, max(p, t_min), t_max):
+            want = tuple(k + 1 for k in range(len(text) - p + 1) if text[k:k + p] in versions)
+            out.append((pattern, text, want))
+    return out
+
+
+@functools.cache
+def _small_scope_cases():
+    # ab takes the 1-bit lanes; abc patterns with all three symbols take the
+    # hex lanes (those with fewer take 1-bit lanes, as ab does)
+    return _definition_cases("ab", 5, 0, 6) + _definition_cases("abc", 4, 0, 5, min_symbols=3)
+
+
+@functools.cache
+def _small_scope_cut_cases():
+    return _definition_cases("ab", 4, 6, 6)
+
+
+def _scanned(pattern, chunks):
+    """The positions ``gsm_scans`` yields over the chunks, and its last count read."""
+    positions, read = [], 0
+    for read, out in gsm_scans(pattern, chunks):
+        positions += out
+    return tuple(positions), read
+
+
+@pytest.mark.parametrize("rebase", (1, 2, 3))
+@pytest.mark.parametrize("block", (1, 2, 3))
+def test_block_scan_equals_definition_at_small_scope(block, rebase, monkeypatch):
+    monkeypatch.setattr(gsm, "BLOCK", block)
+    monkeypatch.setattr(gsm, "REBASE_COLUMN", rebase)
+    for pattern, text, want in _small_scope_cases():
+        assert gsm_search(pattern, text).positions == want, (pattern, text)
+    # every text of length 6 cut once at every position, and into single symbols
+    for pattern, text, want in _small_scope_cut_cases():
+        for cut in range(len(text) + 1):
+            chunks = (text[:cut], text[cut:])
+            assert _scanned(pattern, chunks) == (want, len(text)), (pattern, text, cut)
+        assert _scanned(pattern, list(text)) == (want, len(text)), (pattern, text)
 
 
 @pytest.mark.parametrize("algo", sorted(SEARCHERS))

@@ -20,10 +20,12 @@ from swapmatch.dfa import (
 )
 from swapmatch.gsm import gsm_search
 from swapmatch.oracle import oracle_match_at
+from swapmatch.smalgo import exhaustive_strings
 
 from nfa_reference import (
     Nfa,
     build_swap_nfa,
+    build_version_dfa,
     dfa_accepts,
     dfa_scan_ends,
     dfa_to_nfa,
@@ -258,6 +260,32 @@ def test_determinize_equals_subset_construction_on_bytes(pattern, alphabet):
 def test_determinize_equals_subset_construction_on_wider_alphabet():
     assert_equals_subset_construction("ab", "abx")
     assert determinize("ab", "abx").alphabet == ("a", "b", "x")
+
+
+@pytest.mark.parametrize(
+    "patterns, alphabet",
+    [
+        (tuple(exhaustive_strings("ab", 1, 10)), "ab"),
+        (tuple(exhaustive_strings("abc", 1, 6)), "abc"),
+        (tuple(map(pattern_family, range(1, 7))), "abc"),
+        (tuple(p.encode() for p in exhaustive_strings("ab", 1, 6)), b"ab"),
+    ],
+    ids=["ab-p10", "abc-p6", "family-k6", "ab-p6-bytes"],
+)
+def test_determinize_equals_version_automaton(patterns, alphabet):
+    # the definition (the Aho–Corasick automaton of the enumerated versions)
+    # and the signal-state walk accept one language per pattern, over all
+    # texts; raw tables differ, the minimized ones are canonical
+    for pattern in patterns:
+        want = minimize(build_version_dfa(pattern, alphabet))
+        assert minimize(determinize(pattern, alphabet)) == want, pattern
+
+
+def test_version_automaton_accepts_texts_ending_in_a_version():
+    dfa = build_version_dfa("abab")
+    accepted = {w for w in exhaustive_strings("ab", 4, 4) if dfa_accepts(dfa, w)}
+    assert accepted == {"abab", "baab", "aabb", "abba", "baba"}
+    assert dfa_accepts(dfa, "bbbbaab") and not dfa_accepts(dfa, "abaaba")
 
 
 def test_minimize_keeps_minimal_dfa():

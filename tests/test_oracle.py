@@ -11,6 +11,7 @@ from swapmatch.oracle import (
     oracle_match_at,
     oracle_search,
 )
+from swapmatch.smalgo import exhaustive_strings
 
 
 def fib(n: int) -> int:
@@ -87,6 +88,22 @@ def test_match_at_agreement_seeded_bulk():
         assert oracle_match_at(pattern, window, 1) == (
             window in enumerate_swapped_versions(pattern)
         )
+
+
+@pytest.mark.parametrize(
+    "sigma, p_max, as_bytes",
+    [("ab", 10, False), ("abc", 6, False), ("ab", 8, True), ("abc", 4, True)],
+)
+def test_match_at_equals_enumeration_exhaustive(sigma, p_max, as_bytes):
+    # every pattern against every window of its length over the same
+    # alphabet: the windows the parse accepts are exactly the versions
+    for p in range(1, p_max + 1):
+        windows = list(exhaustive_strings(sigma, p, p))
+        if as_bytes:
+            windows = [w.encode() for w in windows]
+        for pattern in windows:
+            accepted = {w for w in windows if oracle_match_at(pattern, w, 1)}
+            assert accepted == enumerate_swapped_versions(pattern), pattern
 
 
 def test_match_at_known_instances():
