@@ -13,8 +13,12 @@ reached) into an ``error:`` line on stderr and exit 2. Each command
 writes to stdout inside ``_stdout_writes``, so a reader that closes early
 (``| head``) ends the output quietly and the command keeps its exit code.
 ``search --algo gsm`` streams: it reads its input in chunks and prints
-each scan's positions as the scan ends, so its memory does not grow with
-the input (with ``--format jsonl``, it grows with the matches).
+each scan's positions as the scan ends, so its memory holds one read
+chunk, one block, one scan's positions and one ``PRINT_BATCH`` of
+output, whatever the input size; ``--format jsonl`` keeps the positions
+in a temporary file until the end. ``verify`` writes each algorithm's
+records to a temporary file as they are found, so its memory does not
+grow with their number.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from random import Random
 from typing import Collection, Iterator, Sequence
 
@@ -45,7 +49,7 @@ from .oracle import oracle_search
 from .report import MatchReport, _Record
 from .smalgo import (
     SEARCHERS,
-    compare_with_oracle,
+    _pair_discrepancies,
     exhaustive_strings,
     format_discrepancies,
     smalgo1_trace,
@@ -71,6 +75,9 @@ READ_CHUNK = BLOCK
 
 # longest text, in symbols, that the algos other than gsm read whole
 MAX_READ_ALL = 1 << 24
+
+# characters copied per read from a verify spill file to the output
+_COPY_CHUNK = 1 << 16
 
 
 class BenchRecord(_Record):
@@ -334,6 +341,10 @@ def _strip_fasta_headers(
 def _print_report(report: MatchReport, fmt: str) -> None:
     """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at a time.
 
+    ``report`` is a ``MatchReport``, or for jsonl anything with its four
+    fields: ``search`` prints positions read back from its spill file
+    under the final text length, already checked scan by scan.
+
     Each batch is formatted in one go (``"%d\n" * n % chunk`` for text;
     for jsonl, one f-string per line around a head and a tail that are
     built once, with the keys in sorted order) and handed to one
@@ -392,10 +403,13 @@ def cmd_search(args) -> int:
     ``--algo gsm`` scans as it reads (``gsm_scans``); a read-all algo's
     report is one scan over the whole text. Each scan's positions are
     checked as a ``MatchReport`` over the symbols read so far, and the
-    first of them must follow the last one printed. A jsonl line carries
-    the text length, known only at the end, so jsonl positions are held
-    and printed as one report: the one case whose memory grows with the
-    matches.
+    first of them must follow the last one checked. Both are dropped
+    before the next scan is asked for, so memory holds one read chunk,
+    one block, one scan's positions and one ``PRINT_BATCH`` of output. A
+    jsonl line carries the text length, known only at the end, so jsonl
+    writes each checked scan's positions to an unnamed temporary file as
+    ``array('q')`` bytes and at the end prints them back ``PRINT_BATCH``
+    at a time with that length.
     """
     pattern = args.pattern.encode("latin-1")
     if not pattern:
@@ -403,26 +417,42 @@ def cmd_search(args) -> int:
     if args.algo == "gsm":
         scans = gsm_scans(pattern, _read_chunks(args))
     else:
-        report = SEARCHERS[args.algo](pattern, _read_text_input(args))
-        scans = [(report.text_len, report.positions)]
+        whole = SEARCHERS[args.algo](pattern, _read_text_input(args))
+        scans = [(whole.text_len, whole.positions)]
     p = len(pattern)
-    last = 0
-    held: list[int] = []
-    with _stdout_writes():
+    spill = None
+    if args.format == "jsonl":
+        # here, not at the top: the text format pays for none of them
+        from array import array
+        from tempfile import TemporaryFile
+        from types import SimpleNamespace
+
+        spill = TemporaryFile()
+    last = scanned = 0
+    with spill or nullcontext(), _stdout_writes():
         for scanned, positions in scans:
-            if args.format == "jsonl":
-                held += positions
-            elif positions:
+            if positions:
                 report = MatchReport(args.algo, positions, p, scanned)
                 if positions[0] <= last:
                     raise ValueError(
                         f"positions not strictly increasing: {positions[0]} follows {last}"
                     )
                 last = positions[-1]
-                _print_report(report, "text")
-        if held:
-            _print_report(MatchReport(args.algo, held, p, scanned), "jsonl")
-    return 0 if last or held else 1
+                if spill is None:
+                    _print_report(report, "text")
+                else:
+                    spill.write(array("q", positions))
+                # dropped before gsm_scans builds the next scan
+                del report
+            del positions
+        if spill is not None and last:
+            spill.seek(0)
+            batch = SimpleNamespace(algorithm=args.algo, pattern_len=p, text_len=scanned)
+            size = PRINT_BATCH * array("q").itemsize
+            while data := spill.read(size):
+                batch.positions = array("q", data)
+                _print_report(batch, "jsonl")
+    return 0 if last else 1
 
 
 def _space_size(sigma: int, lo: int, hi: int) -> int:
@@ -509,24 +539,42 @@ def cmd_verify(args) -> int:
         if args.t_min < args.p_min:
             raise ValueError("random mode needs t-min >= p-min")
 
-    # opened before the scan, so a bad path fails before any work
-    fixture = open(args.fixture_out, "w", encoding="utf-8") if args.fixture_out else None
-    with fixture or nullcontext():
-        results = compare_with_oracle(_verify_pairs(args), algos)
-        records = {
-            algo: [format_discrepancies([d]) for d in results[algo].discrepancies]
+    from tempfile import TemporaryFile  # here, not at the top, as in cmd_search
+
+    pairs = 0
+    found = dict.fromkeys(algos, 0)
+    with ExitStack() as stack:
+        # opened before the scan, so a bad path fails before any work
+        fixture = open(args.fixture_out, "w", encoding="utf-8") if args.fixture_out else None
+        # one per algo, whose records print as one block; they are read
+        # back as written: no newline translation, and surrogatepass
+        # carries any symbol of an argv string
+        spills = {
+            algo: stack.enter_context(
+                TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="")
+            )
             for algo in algos
         }
-        # written before stdout, so a reader that closes early leaves it whole
-        if fixture is not None:
+        with fixture or nullcontext():
+            for records in _pair_discrepancies(_verify_pairs(args), algos):
+                pairs += 1
+                for d in records:
+                    found[d.algorithm] += 1
+                    spills[d.algorithm].write(format_discrepancies([d]))
+            # written before stdout, so a reader that closes early leaves it whole
+            if fixture is not None:
+                for spill in spills.values():
+                    spill.seek(0)
+                    while chunk := spill.read(_COPY_CHUNK):
+                        fixture.write(chunk)
+        with _stdout_writes():
             for algo in algos:
-                fixture.write("".join(records[algo]))
-    failed = any(results[algo].discrepancies for algo in algos if algo in ("gsm", "bma"))
-    with _stdout_writes():
-        for algo in algos:
-            found = records[algo]
-            print(f"algo={algo} pairs={results[algo].pairs_scanned} discrepancies={len(found)}")
-            sys.stdout.write("".join(f"  {r}" for r in found))
+                print(f"algo={algo} pairs={pairs} discrepancies={found[algo]}")
+                spill = spills[algo]
+                spill.seek(0)
+                while lines := spill.readlines(_COPY_CHUNK):
+                    sys.stdout.write("  " + "  ".join(lines))
+    failed = any(found[algo] for algo in algos if algo in ("gsm", "bma"))
     return 2 if failed else 0
 
 

@@ -10,7 +10,8 @@ example pattern ``abab`` over text ``aaba``). This module reproduces that behavi
 bit-exactly on purpose; :func:`compare_with_oracle` hunts such instances
 against the brute-force oracle, running the oracle once per pair for
 every algorithm it checks, and :func:`find_discrepancies` is its
-one-algorithm form.
+one-algorithm form. Both collect what one loop, ``_pair_discrepancies``,
+yields pair by pair; ``verify`` writes its records out as they come.
 
 Both searches read one set of six int tables, :class:`SmalgoMasks`, with
 pattern column c at bit c - 1. :func:`smalgo_precompute` reads them off
@@ -256,7 +257,7 @@ def _reported_positions(search, pattern, text) -> frozenset:
 
     Keyed on the function, not on a name, so an engine replaced in
     ``SEARCHERS`` is searched afresh. One entry is enough:
-    :func:`compare_with_oracle` emits all records of an algorithm on a
+    :func:`_pair_discrepancies` builds all records of an algorithm on a
     pair one after another, so each such pair is searched once more, not
     once per record.
     """
@@ -295,29 +296,31 @@ class ScanResult(_Record):
     pairs_scanned: int
 
 
-def compare_with_oracle(
+def _pair_discrepancies(
     pairs: Iterable[tuple[str | bytes, str | bytes]],
     algorithms: Iterable[str],
-) -> dict[str, ScanResult]:
-    """Check every algorithm against the oracle on each (pattern, text) pair.
+) -> Iterator[list[Discrepancy]]:
+    """The one comparison loop: for each pair, the discrepancies found on it.
 
     The oracle runs once per pair and each algorithm is compared with that
     one result, so the pairs are consumed in a single pass and may come
-    from a lazy generator. Discrepancies keep input order; within a pair
-    the false positives come first, by ascending position, then the false
-    negatives, by ascending position. Every algorithm has one result,
-    keyed by its name.
+    from a lazy generator. One list is yielded per pair, in input order,
+    and is empty where every algorithm agrees with the oracle. It holds
+    the records of each algorithm in the order given; within one
+    algorithm the false positives come first, by ascending position,
+    then the false negatives, by ascending position. Nothing is kept from
+    one pair to the next, so a caller that does not keep the records
+    scans in bounded memory.
     """
     names = list(dict.fromkeys(algorithms))
     for name in names:
         if name not in SEARCHERS or name == "oracle":
             raise ValueError(f"cannot scan algorithm {name!r}")
-    runs = [(name, SEARCHERS[name], []) for name in names]
-    scanned = 0
+    runs = [(name, SEARCHERS[name]) for name in names]
     for pattern, text in pairs:
-        scanned += 1
+        found: list[Discrepancy] = []
         want = oracle_search(pattern, text).positions
-        for algorithm, search, found in runs:
+        for algorithm, search in runs:
             got = search(pattern, text).positions
             if got == want:
                 continue
@@ -333,7 +336,27 @@ def compare_with_oracle(
                     found.append(
                         Discrepancy(algorithm, pattern, text, k, "false-negative")
                     )
-    return {name: ScanResult(tuple(found), scanned) for name, _, found in runs}
+        yield found
+
+
+def compare_with_oracle(
+    pairs: Iterable[tuple[str | bytes, str | bytes]],
+    algorithms: Iterable[str],
+) -> dict[str, ScanResult]:
+    """Check every algorithm against the oracle on each (pattern, text) pair.
+
+    Collects what ``_pair_discrepancies`` finds: every algorithm has one
+    result, keyed by its name, whose discrepancies keep input order and,
+    within a pair, that loop's order.
+    """
+    names = list(dict.fromkeys(algorithms))
+    kept: dict[str, list[Discrepancy]] = {name: [] for name in names}
+    scanned = 0
+    for found in _pair_discrepancies(pairs, names):
+        scanned += 1
+        for d in found:
+            kept[d.algorithm].append(d)
+    return {name: ScanResult(tuple(kept[name]), scanned) for name in names}
 
 
 def find_discrepancies(

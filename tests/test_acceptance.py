@@ -153,7 +153,7 @@ def test_criterion_5_complexity_scaling():
 
 def test_criterion_6_oracle_self_consistency():
     with criterion(
-        6, "Fibonacci(p+1) version counts (p<=12) and 1e5 enumeration-vs-scan queries"
+        6, "Fibonacci(p+1) version counts (p<=12) and 1e5 enumeration-vs-window-parse queries"
     ):
         for p in range(1, 13):
             pattern = string.ascii_lowercase[:p]

@@ -27,7 +27,7 @@ from swapmatch.cli import (
 )
 from swapmatch.oracle import oracle_search
 from swapmatch.report import MatchReport
-from swapmatch.smalgo import SEARCHERS
+from swapmatch.smalgo import SEARCHERS, compare_with_oracle, format_discrepancies
 
 DATA = Path(__file__).parent / "data"
 
@@ -167,6 +167,34 @@ def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
     assert got == capsys.readouterr().out
 
 
+def test_search_jsonl_multi_scan_from_stdin_and_file(tmp_path, capsys):
+    # four scans where every window matches: each scan's positions are
+    # spilled as it ends and printed back with the final text length
+    t = 3 * gsm.BLOCK + 101
+    text = (b"ab" * t)[:t]
+    path = tmp_path / "ab.txt"
+    path.write_bytes(text)
+    _reference_print_report(MatchReport("gsm", range(1, t - 2), 4, t), "jsonl")
+    want = capsys.readouterr().out
+    argv = ["search", "--pattern", "abab", "--format", "jsonl"]
+    assert invoke([*argv, "--file", str(path)]) == (0, want, "")
+    assert invoke(argv, stdin_bytes=text) == (0, want, "")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin", "empty"])
+def test_search_jsonl_no_match_exit_one(source, tmp_path):
+    # two scans without a match ("aa" is its only swapped version)
+    text = b"ab" * gsm.BLOCK
+    path = tmp_path / "ab.txt"
+    path.write_bytes(text)
+    argv = ["search", "--pattern", "aa", "--format", "jsonl"]
+    if source == "file":
+        result = invoke([*argv, "--file", str(path)])
+    else:
+        result = invoke(argv, stdin_bytes=text if source == "stdin" else b"")
+    assert result == (1, "", "")
+
+
 @pytest.mark.parametrize(
     "argv, first_line",
     [
@@ -176,8 +204,12 @@ def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
         (["verify", "--mode", "exhaustive", "--algos", "smalgo1", "--sigma", "ab",
           "--p-max", "4", "--t-max", "8"],
          b"algo=smalgo1 pairs=15300 discrepancies=3846\n"),
+        # ~19 MB, read back from the spill file after the last scan
+        (["search", "--file", "AB_FILE", "--pattern", "abab", "--format", "jsonl"],
+         b'{"algorithm": "gsm", "pattern_len": 4, "position": 1, "position0": 0, '
+         b'"text_len": 200000}\n'),
     ],
-    ids=["search", "verify"],
+    ids=["search", "verify", "search-jsonl"],
 )
 def test_search_closed_pipe_exit_zero(argv, first_line, tmp_path):
     path = tmp_path / "ab.txt"
@@ -548,6 +580,33 @@ def test_search_memory_does_not_grow_with_input(tmp_path):
     assert peaks["ab", 1 << 19] - peaks["ab", 1 << 16] < 1 << 20, peaks
 
 
+def test_output_memory_does_not_grow_with_results(tmp_path):
+    # jsonl spills each scan's positions and verify each record to a
+    # temporary file, so neither peak holds their results: jsonl over
+    # dense text at two sizes 8x apart, and verify at about 260 and 3,300
+    # SMALGO discrepancies (the whole list of the larger run took 2.7 MB)
+    out_path = tmp_path / "out.txt"
+    peaks = {}
+    for n in (1 << 16, 1 << 19):
+        path = tmp_path / "ab.txt"
+        path.write_bytes(b"ab" * (n // 2))
+        argv = ["search", "--file", str(path), "--pattern", "abababab", "--format", "jsonl"]
+        peaks["jsonl", n] = _traced_peak(argv, out_path)
+        with open(out_path, "rb") as out:
+            lines = out.read().splitlines()
+        assert len(lines) == n - 7
+        assert json.loads(lines[-1]) == {"algorithm": "gsm", "pattern_len": 8, "text_len": n,
+                                         "position": n - 7, "position0": n - 8}
+    for trials in (100, 800):
+        argv = ["verify", "--mode", "random", "--algos", "smalgo1,smalgo2", "--sigma", "ab",
+                "--p-min", "3", "--p-max", "4", "--t-min", "200", "--t-max", "256",
+                "--trials", str(trials), "--seed", "5"]
+        peaks["verify", trials] = _traced_peak(argv, out_path)
+        assert out_path.read_text().count("\n") == {100: 258, 800: 3327}[trials]
+    assert peaks["jsonl", 1 << 19] - peaks["jsonl", 1 << 16] < 1 << 20, peaks
+    assert peaks["verify", 800] - peaks["verify", 100] < 1 << 20, peaks
+
+
 def test_search_strip_newlines():
     code, out, _ = invoke(
         ["search", "--pattern", "acbab", "--strip-newlines"],
@@ -680,6 +739,58 @@ def test_verify_four_algos_match_golden(argv, golden, tmp_path):
     assert code == 0
     assert out == (DATA / f"{golden}.txt").read_text()
     assert fixture.read_bytes() == (DATA / f"{golden}.tsv").read_bytes()
+
+
+class _FixtureCheckingStdout(io.StringIO):
+    """A stdout that checks, at each write, that the fixture is already whole."""
+
+    def __init__(self, fixture, want):
+        super().__init__()
+        self.fixture, self.want = fixture, want
+
+    def write(self, s):
+        assert self.fixture.read_bytes() == self.want
+        return super().write(s)
+
+
+def test_verify_fixture_written_whole_before_stdout(tmp_path, monkeypatch):
+    golden = "verify_exhaustive_4algos_ab_p3_t6"
+    want = (DATA / f"{golden}.tsv").read_bytes()
+    fixture = tmp_path / "disc.tsv"
+    argv = ["verify", "--algos", "smalgo1,smalgo2,gsm,bma", "--p-max", "3", "--t-max", "6",
+            "--fixture-out", str(fixture)]
+    out = _FixtureCheckingStdout(fixture, want)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert out.getvalue() == (DATA / f"{golden}.txt").read_text()
+    # a reader that closes at once still leaves the fixture whole
+    fixture.unlink()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 0
+    assert fixture.read_bytes() == want
+
+
+@pytest.mark.parametrize("algo", ["gsm", "bma"])
+def test_verify_discrepancy_in_correct_algo_exit_two(algo, monkeypatch, capsys, tmp_path):
+    # an engine that reports nothing misses every match; the records are
+    # printed and written as compare_with_oracle collects them
+    monkeypatch.setitem(SEARCHERS, algo, lambda p, t: MatchReport(algo, (), len(p), len(t)))
+    fixture = tmp_path / "disc.tsv"
+    argv = ["verify", "--algos", f"smalgo1,{algo}", "--p-max", "3", "--t-max", "5",
+            "--fixture-out", str(fixture)]
+    assert main(argv) == 2
+    pairs = cli._verify_pairs(cli.build_parser().parse_args(argv))
+    results = compare_with_oracle(pairs, ["smalgo1", algo])
+    assert results[algo].discrepancies
+    want = "".join(
+        f"algo={name} pairs={r.pairs_scanned} discrepancies={len(r.discrepancies)}\n"
+        + "".join(f"  {format_discrepancies([d])}" for d in r.discrepancies)
+        for name, r in results.items()
+    )
+    assert capsys.readouterr() == (want, "")
+    assert fixture.read_text() == "".join(
+        format_discrepancies(r.discrepancies) for r in results.values()
+    )
 
 
 def test_verify_cap_violation_exit_two():

@@ -14,7 +14,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from swapmatch.cli import main
+from swapmatch.cli import PRINT_BATCH, main
+from swapmatch.gsm import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +69,25 @@ def test_search_stream_records_scan_spans(tmp_path):
     # wraps, so their figures read 0 here until it wraps a streaming one
     assert values["gsm.calls"] == 0
     assert values["cli.text_symbols"] == 0
+
+
+def test_search_jsonl_records_one_report_per_scan(tmp_path):
+    text = tmp_path / "text.txt"
+    t = 3 * BLOCK + 101
+    text.write_bytes((b"ab" * t)[:t])
+    run = traced(
+        tmp_path, ["search", "--file", str(text), "--pattern", "abab", "--format", "jsonl"]
+    )
+    assert run["code"] == 0
+    values = run["values"]
+    # each of the four scans is checked once as it is spilled; the
+    # positions read back from the spill file are printed unchecked
+    assert len([s for s in run["spans"] if s[0] == "gsm.scan"]) == 4
+    assert values["report.calls"] == 4
+    assert values["report.positions"] == t - 3
+    prints = [s for s in run["spans"] if s[0] == "cli.print"]
+    assert len(prints) == -(-(t - 3) // PRINT_BATCH)
+    assert values["cli.output_bytes"] > 0
 
 
 def test_search_read_all_records_read_span(tmp_path):
