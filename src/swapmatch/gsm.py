@@ -19,9 +19,10 @@ found whole in one block and no signal crosses a block edge; a scan
 likewise keeps only the last p - 1 symbols it read for the next one. A
 block stops as soon as every window in it has died. A block's occurrence
 ints take one translate per pattern symbol, or per four symbols packed
-in hex nibbles when the pattern has more than two, and a block still
-alive after a few columns is cut to the span its signals can still
-reach. A swap exchanges two unequal symbols, so the scan keeps no
+in hex nibbles when the pattern has more than two. A block still alive
+after a few columns is re-based: its tail, which no live signal can
+reach, is cut off, and the cut block's occurrence ints are built afresh.
+A swap exchanges two unequal symbols, so the scan keeps no
 pending-swap signal at a column whose symbol equals the next one: there
 it is a subset of the unswapped signal and feeds nothing that signal
 does not. ``gsm_step`` and the scan are equivalence-tested against each
@@ -108,10 +109,11 @@ def gsm_accepts(state: GsmState) -> bool:
 # text symbols per block; one block is one big int per live signal
 BLOCK = 1 << 15
 
-# column at which a live block is re-based. On 2 Mbase random ACGT with
-# planted swapped copies (p = 64 and 512) gsm_search time is flat from 12
-# to 48; at 8 it is 35% slower (live random blocks pay for the re-base),
-# and without a re-base p = 512 is 60% slower.
+# column at which a live block is re-based: its tail that no signal can
+# reach is cut off and the cut block's ints built afresh. On 2 Mbase random
+# ACGT with planted swapped copies (p = 64 and 512) gsm_search time is flat
+# from 12 to 48; at 8 it is 35% slower (live random blocks pay for the
+# re-base), and without a re-base p = 512 is 60% slower.
 REBASE_COLUMN = 16
 
 # bit 0 of each nibble of a block's hex lanes. A block holds BLOCK + p - 1
@@ -131,9 +133,7 @@ class _ZeroMap(dict):
 class _Occurrences(dict):
     """Occurrence ints of one block, built on first use: for symbol index k,
     lane n-1-j (bit w*(n-1-j)) is set when block position j holds that
-    symbol. After a re-base the ``shift`` lowest bits are dropped."""
-
-    shift = 0
+    symbol. A re-base cuts the block and builds new ones for the cut block."""
 
     def __init__(self, block, tables, w, lanes):
         self.block, self.tables, self.w, self.lanes = block, tables, w, lanes
@@ -150,8 +150,6 @@ class _Occurrences(dict):
                 self.groups[g] = int.from_bytes(a2b_hex(hexits), "big")
             group = self.groups[g]
             value = (group >> r if r else group) & self.lanes
-        if self.shift:
-            value >>= self.shift
         self[k] = value
         return value
 
@@ -255,10 +253,12 @@ def _scan_chunk(table, j, p, chunk, out):
     A block stops early once A_i and B_i are 0; on random text that is
     after a handful of columns whatever p is. A block still alive at
     ``REBASE_COLUMN`` is re-based: signals move one lane down per column,
-    so lanes more than p - i below the lowest live one cannot reach a
-    match; they are shifted out, and a column then costs the live span,
-    not the whole block. A shift by 0 would copy each int for nothing, so
-    none is made. ``gsm_step`` is the literal 13-op per-symbol reference.
+    so the last s symbols of the block, more than p - i lanes below the
+    lowest live one, cannot reach a match. They are cut off and the cut
+    block's occurrence ints built afresh: lane n-1-k-s of the old block is
+    lane n-s-1-k of the cut one, so they line up with ``a`` and ``b``
+    shifted down s lanes, and a column then costs the live span, not the
+    whole block. ``gsm_step`` is the literal 13-op per-symbol reference.
     """
     plan, tables, w = table
     lanes = _LANES
@@ -270,20 +270,18 @@ def _scan_chunk(table, j, p, chunk, out):
         occ = _Occurrences(block, tables, w, lanes)
         a = occ[cur0]
         b = 0 if nxt0 is None else occ[nxt0]
-        s = 0
         for i in range(1, p):
             if not (a or b):
                 break  # a is 0: no match in this block
             if i == REBASE_COLUMN:
                 # the lowest live lane lo ends at lo - (p - i) by column
-                # p - 1; the lanes below that are shifted out
+                # p - 1; the last s symbols lie below that and are cut off
                 ab = a | b
                 s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i))
                 if s:
                     a, b = a >> w * s, b >> w * s
-                    occ.shift = w * s
-                    for k in occ:
-                        occ[k] >>= w * s
+                    block = block[:len(block) - s]
+                    occ = _Occurrences(block, tables, w, lanes)
             cur, prev, nxt = plan[i]
             sa = a >> w
             sb = b >> w
@@ -292,7 +290,7 @@ def _scan_chunk(table, j, p, chunk, out):
                 a |= sb & occ[prev]
             b = sa & occ[nxt] if sa and nxt is not None else 0
         if a:
-            first = j + start + len(block) - s + 2 - p - (a.bit_length() + w - 1) // w
+            first = j + start + len(block) + 2 - p - (a.bit_length() + w - 1) // w
             _extend_positions(out, a, first, w)
 
 

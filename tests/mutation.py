@@ -63,23 +63,20 @@ MUTANTS = (
     # gsm._scan_chunk: early exit and re-base
     Mutant("rebase-by-zero-shifts", "gsm.py",
            "if s:", "if True:", "conformance",
-           "a shift by 0 copies each int and changes no bit"),
+           "a cut of 0 symbols keeps the whole block and builds the same ints again"),
     Mutant("rebase-never", "gsm.py",
            "if i == REBASE_COLUMN:", "if i == -1:", "conformance",
            "the re-base drops only lanes that cannot reach a match by column p - 1"),
     Mutant("rebase-keeps-one-more-lane", "gsm.py",
            "// w - (p - i))", "// w - (p - i) - 1)", "conformance",
-           "shifting one lane less keeps one lane that no signal reaches"),
+           "cutting one symbol less keeps one symbol that no signal reaches"),
     Mutant("rebase-one-lane-too-far", "gsm.py",
            "// w - (p - i))", "// w - (p - i) + 1)", "conformance"),
-    Mutant("rebase-cached-occurrences-unshifted", "gsm.py",
-           "occ[k] >>= w * s", "occ[k] >>= 0", "conformance"),
-    Mutant("rebase-later-occurrences-unshifted", "gsm.py",
-           "occ.shift = w * s", "occ.shift = 0", "conformance"),
-    Mutant("rebase-later-occurrences-shift-skipped", "gsm.py",
-           "if self.shift:", "if False:", "conformance"),
-    Mutant("positions-ignore-rebase", "gsm.py",
-           "len(block) - s + 2 - p", "len(block) + 2 - p", "conformance"),
+    Mutant("rebase-block-not-cut", "gsm.py",
+           "block = block[:len(block) - s]", "block = block", "conformance"),
+    Mutant("rebase-keeps-uncut-occurrences", "gsm.py",
+           "                    occ = _Occurrences(block, tables, w, lanes)",
+           "                    pass", "conformance"),
     # gsm: occurrence ints and position extraction
     Mutant("nibble-select-off-by-one", "gsm.py",
            "(group >> r if r else group) & self.lanes", "(group >> (r + 1)) & self.lanes",

@@ -17,8 +17,9 @@ build.
 
 The block scan also runs with ``BLOCK`` and ``REBASE_COLUMN`` shrunk to
 1, 2 and 3, over every small instance, so that block edges and re-bases
-meet every window; there the truth is read off the enumerated swapped
-versions, so it does not rest on any scan.
+meet every window, and with ``BLOCK`` at 24 over texts with few matches,
+so that position extraction takes its sparse route; there the truth is
+read off the enumerated swapped versions, so it does not rest on any scan.
 """
 
 import functools
@@ -277,6 +278,38 @@ def _small_scope_cases():
 @functools.cache
 def _small_scope_cut_cases():
     return _definition_cases("ab", 4, 6, 6)
+
+
+@functools.cache
+def _sparse_cases():
+    """(pattern, text, positions) for every ``ab`` pattern with p <= 4 and
+    every ``abc`` one with all three symbols and p <= 4, over texts holding
+    two copies of one word of 2 to 4 pattern symbols, 17 symbols apart in a
+    filler that matches nothing; a window matches when it is an enumerated
+    version."""
+    out = []
+    for sigma, filler in (("ab", "c"), ("abc", "d")):
+        words = list(exhaustive_strings(sigma, 2, 4))
+        for pattern in exhaustive_strings(sigma, 1, 4):
+            if len(set(pattern)) < len(sigma):
+                continue
+            p = len(pattern)
+            versions = enumerate_swapped_versions(pattern)
+            for word in words:
+                text = filler * 2 + word + filler * 17 + word + filler * 6
+                want = tuple(k + 1 for k in range(len(text) - p + 1) if text[k:k + p] in versions)
+                out.append((pattern, text, want))
+    return out
+
+
+def test_block_scan_equals_definition_over_sparse_blocks(monkeypatch):
+    # a block of 24 holds at most a few matches, so position extraction
+    # takes its one-find-per-lane route, which blocks of 1 to 3 never take;
+    # with p >= 3 a block is re-based at column 2, cut after its last live window
+    monkeypatch.setattr(gsm, "BLOCK", 24)
+    monkeypatch.setattr(gsm, "REBASE_COLUMN", 2)
+    for pattern, text, want in _sparse_cases():
+        assert gsm_search(pattern, text).positions == want, (pattern, text)
 
 
 def _scanned(pattern, chunks):

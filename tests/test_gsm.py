@@ -27,6 +27,7 @@ from test_conformance import (
     BLOCK_PATTERN_LENGTHS,
     _block_cases,
     _oracle_positions,
+    _plant,
     _planted_text,
     _rebase_text,
 )
@@ -488,15 +489,35 @@ def _record_occurrences(monkeypatch) -> list:
 
 def test_rebase_by_zero_keeps_occurrences_and_positions(monkeypatch):
     # the periodic texts match up to their last windows, so at the re-base
-    # column a lane within p - 16 of the bottom is live and the re-base
-    # shift is 0: no int may be shifted (each occurrence int is stored
+    # column a lane within p - 16 of the bottom is live and nothing is cut:
+    # the block keeps its one _Occurrences (each occurrence int is stored
     # once) and no position moves
     made = _record_occurrences(monkeypatch)
     for pattern, text in (("ab" * 32, "ab" * 1000), ("ACGT" * 16, "ACGT" * 500)):
         made.clear()
         assert gsm_search(pattern, text).positions == oracle_search(pattern, text).positions
-        assert len(made) == 1 and made[0].shift == 0
+        assert len(made) == 1
         assert len(made[0].stored) == len(set(made[0].stored)), pattern
+
+
+@pytest.mark.parametrize("as_bytes", [False, True])
+@pytest.mark.parametrize("sigma, text_sigma", [("ACGT", "ACGT"), ("ab", "abcd")])
+def test_rebase_cuts_the_block(sigma, text_sigma, as_bytes, monkeypatch):
+    # ACGT takes hex lanes, ab 1-bit lanes; the text is over four symbols,
+    # so no window but the planted copy at k lives to the re-base column.
+    # Block 0 is re-based there and cut to end with that copy: it adds one
+    # _Occurrences, over a proper prefix of the block; block 1 dies early.
+    p, k = 64, 200
+    rng = random.Random(len(sigma))
+    pattern = "".join(rng.choice(sigma) for _ in range(p))
+    text = _plant(pattern, text_sigma, BLOCK + 1000, [k], seed=p)
+    if as_bytes:
+        pattern, text = pattern.encode(), text.encode()
+    made = _record_occurrences(monkeypatch)
+    want = oracle_search(pattern, text).positions
+    assert gsm_search(pattern, text).positions == want and k + 1 in want
+    block0, block1 = text[:BLOCK + p - 1], text[BLOCK:]
+    assert [occ.block for occ in made] == [block0, block0[:k + p], block1]
 
 
 # -- no swap row between equal symbols ------------------------------------------------
