@@ -12,9 +12,9 @@ error a command raises (bad input, a failed read or write, a state cap
 reached) into an ``error:`` line on stderr and exit 2. Each command
 writes to stdout inside ``_stdout_writes``, so a reader that closes early
 (``| head``) ends the output quietly and the command keeps its exit code.
-``search --algo gsm`` streams: it reads its input in chunks and prints
-each scan's positions as the scan ends, so its memory holds one read
-chunk, one block, one scan's positions and one ``PRINT_BATCH`` of
+``search`` streams with every algo: it reads its input in chunks and
+prints each scan's positions as the scan ends, so its memory holds one
+read chunk, one block, one scan's positions and one ``PRINT_BATCH`` of
 output, whatever the input size; ``--format jsonl`` keeps the positions
 in a temporary file until the end. ``verify`` writes each algorithm's
 records to a temporary file as they are found, so its memory does not
@@ -72,9 +72,6 @@ PRINT_BATCH = 4096
 
 # bytes read per chunk by search: one GSM block
 READ_CHUNK = BLOCK
-
-# longest text, in symbols, that the algos other than gsm read whole
-MAX_READ_ALL = 1 << 24
 
 # characters copied per read from a verify spill file to the output
 _COPY_CHUNK = 1 << 16
@@ -237,9 +234,9 @@ def flaw_demo_text() -> str:
 class ReadError(Exception):
     """A read of the search input failed; the ``OSError`` is its one argument.
 
-    ``search --algo gsm`` reads as it prints, inside ``_stdout_writes``,
-    which takes an ``OSError`` for a failed write; a failed read must not
-    pass for one.
+    ``search`` reads as it prints, with every algo, inside
+    ``_stdout_writes``, which takes an ``OSError`` for a failed write; a
+    failed read must not pass for one.
     """
 
 
@@ -286,21 +283,12 @@ def _chunks(fh, close: bool, fasta: bool, strip: bool) -> Iterator[bytes]:
 
 
 def _read_text_input(args) -> bytes:
-    """The whole text of ``search``, for the algos that do not stream.
+    """The whole text of ``search``, as ``_read_chunks`` reads it.
 
-    Raises ``ValueError`` as soon as more than ``MAX_READ_ALL`` symbols
-    have been read.
+    ``search`` itself streams; this name stays because the benchmark's
+    span recorder (``perfbench/spans.py``) wraps it as ``cli.read``.
     """
-    chunks = []
-    size = 0
-    for chunk in _read_chunks(args):
-        size += len(chunk)
-        if size > MAX_READ_ALL:
-            raise ValueError(
-                f"input longer than {MAX_READ_ALL} symbols; only --algo gsm streams its input"
-            )
-        chunks.append(chunk)
-    return b"".join(chunks)
+    return b"".join(_read_chunks(args))
 
 
 # a ">" and the rest of its line; a header only when the ">" starts the line
@@ -400,12 +388,12 @@ def _stdout_writes() -> Iterator[None]:
 def cmd_search(args) -> int:
     """Print the positions of each scan as it ends.
 
-    ``--algo gsm`` scans as it reads (``gsm_scans``); a read-all algo's
-    report is one scan over the whole text. Each scan's positions are
-    checked as a ``MatchReport`` over the symbols read so far, and the
-    first of them must follow the last one checked. Both are dropped
-    before the next scan is asked for, so memory holds one read chunk,
-    one block, one scan's positions and one ``PRINT_BATCH`` of output. A
+    Every algo scans as it reads (``gsm_scans``, with the algo's searcher
+    unless it is gsm). Each scan's positions are checked as a
+    ``MatchReport`` over the symbols read so far, and the first of them
+    must follow the last one checked. Both are dropped before the next
+    scan is asked for, so memory holds one read chunk, one block and its
+    carry, one scan's positions and one ``PRINT_BATCH`` of output. A
     jsonl line carries the text length, known only at the end, so jsonl
     writes each checked scan's positions to an unnamed temporary file as
     ``array('q')`` bytes and at the end prints them back ``PRINT_BATCH``
@@ -414,11 +402,8 @@ def cmd_search(args) -> int:
     pattern = args.pattern.encode("latin-1")
     if not pattern:
         raise ValueError("pattern must be non-empty")
-    if args.algo == "gsm":
-        scans = gsm_scans(pattern, _read_chunks(args))
-    else:
-        whole = SEARCHERS[args.algo](pattern, _read_text_input(args))
-        scans = [(whole.text_len, whole.positions)]
+    algo = args.algo
+    scans = gsm_scans(pattern, _read_chunks(args), None if algo == "gsm" else SEARCHERS[algo])
     p = len(pattern)
     spill = None
     if args.format == "jsonl":
@@ -432,7 +417,7 @@ def cmd_search(args) -> int:
     with spill or nullcontext(), _stdout_writes():
         for scanned, positions in scans:
             if positions:
-                report = MatchReport(args.algo, positions, p, scanned)
+                report = MatchReport(algo, positions, p, scanned)
                 if positions[0] <= last:
                     raise ValueError(
                         f"positions not strictly increasing: {positions[0]} follows {last}"
@@ -447,7 +432,7 @@ def cmd_search(args) -> int:
             del positions
         if spill is not None and last:
             spill.seek(0)
-            batch = SimpleNamespace(algorithm=args.algo, pattern_len=p, text_len=scanned)
+            batch = SimpleNamespace(algorithm=algo, pattern_len=p, text_len=scanned)
             size = PRINT_BATCH * array("q").itemsize
             while data := spill.read(size):
                 batch.positions = array("q", data)

@@ -22,11 +22,11 @@ ints take one translate per pattern symbol, or per four symbols packed
 in hex nibbles when the pattern has more than two. A block still alive
 after a few columns is re-based: its tail, which no live signal can
 reach, is cut off, and the cut block's occurrence ints are built afresh.
-A swap exchanges two unequal symbols, so the scan keeps no
-pending-swap signal at a column whose symbol equals the next one: there
-it is a subset of the unswapped signal and feeds nothing that signal
-does not. ``gsm_step`` and the scan are equivalence-tested against each
-other and against the brute-force oracle.
+A swap exchanges two unequal symbols, so the scan keeps no pending-swap
+signal at a column whose symbol equals the next one: there it is a
+subset of the unswapped signal and feeds nothing that signal does not.
+``gsm_step`` and the scan are equivalence-tested against each other and
+against the brute-force oracle. ``gsm_scans`` also runs any other searcher.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 from binascii import a2b_hex
 from itertools import chain, compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bitvec import BitVector
 from .report import MatchReport, _Record, check_search_inputs, pattern_alphabet
@@ -111,10 +111,14 @@ BLOCK = 1 << 15
 
 # column at which a live block is re-based: its tail that no signal can
 # reach is cut off and the cut block's ints built afresh. On 2 Mbase random
-# ACGT with planted swapped copies (p = 64 and 512) gsm_search time is flat
-# from 12 to 48; at 8 it is 35% slower (live random blocks pay for the
-# re-base), and without a re-base p = 512 is 60% slower.
+# ACGT with planted swapped copies gsm_search time is flat from 12 to 48; at
+# 8, p = 64 takes 40% longer and p = 512 twice as long (live random blocks
+# pay for the re-base), and without a re-base p = 512 takes 70-100% longer.
 REBASE_COLUMN = 16
+
+# symbols before a window that a searcher run by ``gsm_scans`` may read:
+# SMALGO-II's checkup and checkdown read two back
+LEAD = 2
 
 # bit 0 of each nibble of a block's hex lanes. A block holds BLOCK + p - 1
 # symbols, so a mask of two blocks' lanes serves every p <= BLOCK + 1;
@@ -302,23 +306,25 @@ def _plan(pattern: str | bytes):
 
 
 def gsm_scans(
-    pattern: str | bytes, chunks: Iterable[str | bytes]
+    pattern: str | bytes, chunks: Iterable[str | bytes], search: Callable | None = None
 ) -> Iterator[tuple[int, list[int]]]:
-    """The one GSM scan loop: yields ``(symbols read, positions)`` per scan.
+    """The one scan loop: yields ``(symbols read, positions)`` per scan.
 
     Chunks are gathered until at least ``BLOCK`` new symbols are pending,
-    and then the last p - 1 symbols of the scan before and all of them
-    are scanned. So no chunk is cut, every window lies whole in the scan
-    where it is reported, and memory stays bounded by one block plus
-    p - 1 symbols plus one chunk, and one scan's positions. A scan's
-    positions are those whose window ends in it, ascending, and every
-    later scan's come after them.
+    then scanned with the last p - 1 symbols of the scan before (p - 1 +
+    ``LEAD`` when ``search``, any ``(pattern, text) -> MatchReport``, runs
+    in place of GSM's block scan). So no chunk is cut, and memory stays
+    bounded by one block plus that carry plus one chunk, and one scan's
+    positions. A scan's positions are those whose window ends in its new
+    symbols, ascending, so each window is reported once, and every later
+    scan's come after them.
     """
     p = len(pattern)
     if p == 0:
         raise ValueError("pattern must be non-empty")
     is_bytes = isinstance(pattern, bytes)
-    table = _plan(pattern)
+    table = _plan(pattern) if search is None else None
+    carry = p - 1 if search is None else p - 1 + LEAD
     join = b"".join if is_bytes else "".join
     read = size = 0
     pending: list = []
@@ -331,17 +337,25 @@ def gsm_scans(
             continue
         text = join(pending)
         read += size
-        out: list[int] = []
-        _scan_chunk(table, read - len(text), p, text, out)
-        pending = [text[max(0, len(text) - p + 1):]]
+        pending = [text[max(0, len(text) - carry):]]
+        # no local keeps the positions: the caller drops them before the next scan
+        yield read, _scan(pattern, table, search, text, read - len(text), len(text) - size)
         size = 0
-        yield read, out
     if size:
         text = join(pending)
         read += size
-        out = []
-        _scan_chunk(table, read - len(text), p, text, out)
-        yield read, out
+        yield read, _scan(pattern, table, search, text, read - len(text), len(text) - size)
+
+
+def _scan(pattern, table, search, text, j, carried) -> list[int]:
+    """One scan of ``gsm_scans``: the positions of the windows of ``text``
+    that end past its first ``carried`` symbols, ``j`` symbols preceding it."""
+    if search is None:
+        out: list[int] = []
+        _scan_chunk(table, j, len(pattern), text, out)
+        return out
+    p = len(pattern)
+    return [j + k for k in search(pattern, text).positions if k + p - 1 > carried]
 
 
 def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:

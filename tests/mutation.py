@@ -3,9 +3,10 @@
 Each mutant replaces one line of ``src/swapmatch``. The script copies
 ``src/`` into a temporary directory, applies the mutant there, and runs
 the test file that guards the mutated code with the copy first on the
-import path: the conformance harness for the correct engines and the
+import path: the conformance harness for the correct engines, the
 oracle (its parse, and the enumeration that its small-scope block test
-reads as the truth), the frozen fixtures of ``test_smalgo.py`` for the
+reads as the truth) and the scans of ``gsm_scans`` that run any other
+searcher, the frozen fixtures of ``test_smalgo.py`` for the
 knowingly flawed SMALGO engines (and the graph edge rule their masks are
 read from), the discrepancy tests of ``test_smalgo.py`` for the re-check of
 each ``Discrepancy``, the ``determinize`` tests of ``test_dfa.py`` for
@@ -108,10 +109,17 @@ MUTANTS = (
            "found whole in the scan where it ends, and smaller scans give the "
            "same positions"),
     Mutant("stream-rescans-last-chunk", "gsm.py",
-           "pending = [text[max(0, len(text) - p + 1):]]", "pending = pending[-1:]",
+           "pending = [text[max(0, len(text) - carry):]]", "pending = pending[-1:]",
            "conformance"),
     Mutant("stream-tail-one-short", "gsm.py",
-           "len(text) - p + 1):]]", "len(text) - p + 2):]]", "conformance"),
+           "carry = p - 1 if search is None", "carry = p - 2 if search is None",
+           "conformance"),
+    # gsm.gsm_scans with a searcher: the symbols carried before a window,
+    # and the windows kept from each scan
+    Mutant("search-lead-one-short", "gsm.py",
+           "LEAD = 2", "LEAD = 1", "conformance"),
+    Mutant("search-rereports-carried-window", "gsm.py",
+           "if k + p - 1 > carried]", "if k + p - 1 >= carried]", "conformance"),
     # model.build_pgraph: the edge rule the SMALGO masks are read from
     # (knowingly flawed engines: frozen fixtures)
     Mutant("smalgo-edge-rule-flipped", "model.py",

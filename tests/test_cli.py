@@ -25,7 +25,6 @@ from swapmatch.cli import (
     _strip_fasta_headers,
     main,
 )
-from swapmatch.oracle import oracle_search
 from swapmatch.report import MatchReport
 from swapmatch.smalgo import SEARCHERS, compare_with_oracle, format_discrepancies
 
@@ -412,7 +411,8 @@ def _multi_record_fasta(seed: int) -> bytes:
 def test_search_fasta_in_small_chunks_equals_read_all(read_chunk, block, monkeypatch, capsys):
     data = _multi_record_fasta(read_chunk)
     runs = [
-        ["search", "--fasta", "--pattern", pattern, "--format", fmt]
+        ["search", "--fasta", "--algo", algo, "--pattern", pattern, "--format", fmt]
+        for algo in sorted(SEARCHERS)
         for pattern in ("abba", "ab>a", "aabab", "b")
         for fmt in ("text", "jsonl")
     ]
@@ -429,7 +429,7 @@ def test_search_fasta_in_small_chunks_equals_read_all(read_chunk, block, monkeyp
     sequence = _fasta_reference(data)
     for argv, (code, out) in zip(runs, read_all):
         if argv[-1] == "text":
-            positions = oracle_search(argv[3].encode(), sequence).positions
+            positions = SEARCHERS[argv[3]](argv[5].encode(), sequence).positions
             assert out == "".join(f"{k}\n" for k in positions), argv
             assert code == (0 if positions else 1)
     monkeypatch.setattr(cli, "READ_CHUNK", read_chunk)
@@ -508,27 +508,6 @@ def test_search_closed_stdin_exit_two(algo, monkeypatch, capsys):
     assert captured.err == "error: no input: give --text or --file, or open stdin\n"
 
 
-@pytest.mark.parametrize("algo", ["bma", "oracle", "smalgo1", "smalgo2"])
-def test_search_read_all_algos_refuse_long_input(algo, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "MAX_READ_ALL", 10)
-    monkeypatch.setattr(cli, "READ_CHUNK", 4)
-    reader = _Reader(b"ab" * 50)
-    _stdin(monkeypatch, reader)
-    assert main(["search", "--algo", algo, "--pattern", "ab"]) == 2
-    # refused while reading: at the third chunk, not at the end of the input
-    assert reader.reads == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: input longer than 10 symbols; only --algo gsm streams its input\n"
-    )
-    # up to the cap the input is read, and gsm has no cap
-    for argv, text in ((["--algo", algo], b"ab" * 5), ([], b"ab" * 50)):
-        _stdin(monkeypatch, _Reader(text))
-        assert main(["search", "--pattern", "ab", *argv]) in (0, 1)
-        assert capsys.readouterr().err == ""
-
-
 def _traced_peak(argv, out_path) -> int:
     with open(out_path, "w") as out:
         stdout, sys.stdout = sys.stdout, out
@@ -552,6 +531,25 @@ def _planted_fasta(n: int, pattern: bytes, rng: random.Random):
         for i, r in enumerate(records, 1)
     ]
     return b"\n".join(lines) + b"\n", [k + 1 for k in starts]
+
+
+@pytest.mark.parametrize("algo", ["bma", "oracle", "smalgo1", "smalgo2"])
+def test_search_reference_algos_memory_does_not_grow(algo, tmp_path):
+    # the O(t*p) references scan their input as gsm does, one scan at a
+    # time, so their traced peak holds no more at 2^20 symbols than at
+    # 2^16; the whole text alone would take 1 MiB more
+    rng = random.Random(17)
+    pattern = rng.randbytes(8).translate(bytes(b"ACGT"[i % 4] for i in range(256)))
+    out_path = tmp_path / "out.txt"
+    peaks = {}
+    for n in (1 << 16, 1 << 20):
+        fasta, _ = _planted_fasta(n, pattern, rng)
+        path = tmp_path / "planted.fa"
+        path.write_bytes(fasta)
+        argv = ["search", "--algo", algo, "--fasta", "--file", str(path),
+                "--pattern", pattern.decode()]
+        peaks[n] = _traced_peak(argv, out_path)
+    assert peaks[1 << 20] - peaks[1 << 16] < 1 << 20, peaks
 
 
 def test_search_memory_does_not_grow_with_input(tmp_path):

@@ -20,6 +20,11 @@ The block scan also runs with ``BLOCK`` and ``REBASE_COLUMN`` shrunk to
 meet every window, and with ``BLOCK`` at 24 over texts with few matches,
 so that position extraction takes its sparse route; there the truth is
 read off the enumerated swapped versions, so it does not rest on any scan.
+
+``gsm_scans`` runs every other searcher, the SMALGO engines too, scan by
+scan for ``search``. Over every small ``ab`` and ``abc`` instance cut at
+every position, those scans must equal that searcher's own whole-text
+search: each engine reads at most ``LEAD`` symbols before a window.
 """
 
 import functools
@@ -312,10 +317,10 @@ def test_block_scan_equals_definition_over_sparse_blocks(monkeypatch):
         assert gsm_search(pattern, text).positions == want, (pattern, text)
 
 
-def _scanned(pattern, chunks):
+def _scanned(pattern, chunks, search=None):
     """The positions ``gsm_scans`` yields over the chunks, and its last count read."""
     positions, read = [], 0
-    for read, out in gsm_scans(pattern, chunks):
+    for read, out in gsm_scans(pattern, chunks, search):
         positions += out
     return tuple(positions), read
 
@@ -333,6 +338,32 @@ def test_block_scan_equals_definition_at_small_scope(block, rebase, monkeypatch)
             chunks = (text[:cut], text[cut:])
             assert _scanned(pattern, chunks) == (want, len(text)), (pattern, text, cut)
         assert _scanned(pattern, list(text)) == (want, len(text)), (pattern, text)
+
+
+@functools.cache
+def _lead_cases():
+    """(pattern, text) for every ``ab`` pattern with p <= 4 and ``ab`` text
+    with t <= 7, and every ``abc`` pattern with p <= 3 and ``abc`` text with
+    t <= 5."""
+    return [
+        (pattern, text)
+        for sigma, p_max, t_max in (("ab", 4, 7), ("abc", 3, 5))
+        for pattern in exhaustive_strings(sigma, 1, p_max)
+        for text in exhaustive_strings(sigma, 0, t_max)
+    ]
+
+
+@pytest.mark.parametrize("algo", ["bma", "oracle", "smalgo1", "smalgo2"])
+def test_scans_with_searcher_equal_whole_text_search(algo, monkeypatch):
+    # one-symbol chunks and blocks of 1 cut the text at every position, and
+    # every scan is shorter than the p - 1 + LEAD symbols it carries; no
+    # engine reads more than LEAD symbols before a window, so its scans
+    # report what its whole-text search reports, and each window once
+    monkeypatch.setattr(gsm, "BLOCK", 1)
+    search = SEARCHERS[algo]
+    for pattern, text in _lead_cases():
+        want = search(pattern, text).positions
+        assert _scanned(pattern, list(text), search) == (want, len(text)), (pattern, text)
 
 
 @pytest.mark.parametrize("algo", sorted(SEARCHERS))

@@ -15,6 +15,7 @@ from swapmatch.gsm import (
     _scan_chunk,
     gsm_accepts,
     gsm_precompute,
+    gsm_scans,
     gsm_search,
     gsm_search_stream,
     gsm_step,
@@ -355,6 +356,16 @@ def test_stream_type_mismatch():
 def test_stream_bytes_chunks():
     chunks = [b"bab", b"cab", b"c"]
     assert list(gsm_search_stream(b"acbab", chunks)) == [2]
+
+
+@pytest.mark.parametrize("search", [None, oracle_search], ids=["gsm", "oracle"])
+def test_scans_keep_no_positions_while_suspended(search):
+    # a caller that drops each scan's positions before asking for the next
+    # holds one scan's positions at a time only if gsm_scans keeps none
+    scans = gsm_scans("ab", ["ab" * BLOCK] * 3, search)
+    for _, out in scans:
+        assert out
+        assert not [v for v in scans.gi_frame.f_locals.values() if v is out]
 
 
 def test_shared_masks_across_threads():

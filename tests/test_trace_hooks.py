@@ -65,8 +65,8 @@ def test_search_stream_records_scan_spans(tmp_path):
     assert values["report.calls"] == 1
     assert values["report.positions"] == 20_000 // 4 - 1
     assert values["scan_symbols.p8"] == 20_000
-    # search --algo gsm streams past the two read-all seams the recorder
-    # wraps, so their figures read 0 here until it wraps a streaming one
+    # search streams past the two read-all seams the recorder wraps, with
+    # every algo, so their figures read 0 until it wraps a streaming one
     assert values["gsm.calls"] == 0
     assert values["cli.text_symbols"] == 0
 
@@ -90,22 +90,25 @@ def test_search_jsonl_records_one_report_per_scan(tmp_path):
     assert values["cli.output_bytes"] > 0
 
 
-def test_search_read_all_records_read_span(tmp_path):
+def test_search_oracle_records_one_span_per_scan(tmp_path):
     text = tmp_path / "text.txt"
-    text.write_bytes(b"acgt" * 500)
+    t = 3 * BLOCK + 101
+    text.write_bytes((b"acgt" * t)[:t])
     run = traced(
         tmp_path, ["search", "--algo", "oracle", "--file", str(text), "--pattern", "acgtacgt"]
     )
     assert run["code"] == 0
     values = run["values"]
-    assert values["cli.input_bytes"] == 2_000
-    assert values["cli.text_symbols"] == 2_000
-    assert values["oracle.calls"] == 1
-    assert values["oracle.windows"] == 2_000 - 7
-    # the searcher checks its report, and search checks the one scan it
-    # prints as it checks each gsm scan
-    assert values["report.calls"] == 2
-    assert values["report.positions"] == 2 * (2_000 // 4 - 1)
+    # the oracle runs once on each of the four scans gsm_scans gathers;
+    # each scan after the first carries p + 1 symbols, 2 windows more
+    assert values["oracle.calls"] == 4
+    assert values["oracle.windows"] == t - 7 + 3 * 2
+    assert not [s for s in run["spans"] if s[0] == "gsm.scan"]
+    # each scan's report is checked by the oracle and again by search
+    assert values["report.calls"] == 8
+    # the same zeros as the gsm stream: no read-all seam is passed
+    assert values["gsm.calls"] == 0
+    assert values["cli.text_symbols"] == 0
 
 
 def test_verify_random_records_oracle_and_reverify_spans(tmp_path):
