@@ -25,6 +25,7 @@ from swapmatch.cli import (
     _strip_fasta_headers,
     main,
 )
+from swapmatch.oracle import oracle_search
 from swapmatch.report import MatchReport
 from swapmatch.smalgo import SEARCHERS, compare_with_oracle, format_discrepancies
 
@@ -429,7 +430,9 @@ def test_search_fasta_in_small_chunks_equals_read_all(read_chunk, block, monkeyp
     sequence = _fasta_reference(data)
     for argv, (code, out) in zip(runs, read_all):
         if argv[-1] == "text":
-            positions = SEARCHERS[argv[3]](argv[5].encode(), sequence).positions
+            # the flawed SMALGOs against their own whole-text search, the rest against the definition
+            truth = SEARCHERS[argv[3]] if argv[3].startswith("smalgo") else oracle_search
+            positions = truth(argv[5].encode(), sequence).positions
             assert out == "".join(f"{k}\n" for k in positions), argv
             assert code == (0 if positions else 1)
     monkeypatch.setattr(cli, "READ_CHUNK", read_chunk)
@@ -534,22 +537,28 @@ def _planted_fasta(n: int, pattern: bytes, rng: random.Random):
 
 
 @pytest.mark.parametrize("algo", ["bma", "oracle", "smalgo1", "smalgo2"])
-def test_search_reference_algos_memory_does_not_grow(algo, tmp_path):
+def test_search_reference_algos_memory_does_not_grow(algo, monkeypatch, tmp_path):
     # the O(t*p) references scan their input as gsm does, one scan at a
-    # time, so their traced peak holds no more at 2^20 symbols than at
-    # 2^16; the whole text alone would take 1 MiB more
+    # time, so their traced peak holds no more at 2^16 symbols than at
+    # 2^12; the whole text alone would take 60 KiB more. Blocks and reads
+    # of 2^10 symbols keep the scans many and tracemalloc's cost small.
+    # At p = 16 no random window matches, so the output is the planted
+    # copies (at p = 8, 2^16 symbols hold 22 more).
+    monkeypatch.setattr(cli, "READ_CHUNK", 1 << 10)
+    monkeypatch.setattr(gsm, "BLOCK", 1 << 10)
     rng = random.Random(17)
-    pattern = rng.randbytes(8).translate(bytes(b"ACGT"[i % 4] for i in range(256)))
+    pattern = rng.randbytes(16).translate(bytes(b"ACGT"[i % 4] for i in range(256)))
     out_path = tmp_path / "out.txt"
     peaks = {}
-    for n in (1 << 16, 1 << 20):
-        fasta, _ = _planted_fasta(n, pattern, rng)
+    for n in (1 << 12, 1 << 16):
+        fasta, starts = _planted_fasta(n, pattern, rng)
         path = tmp_path / "planted.fa"
         path.write_bytes(fasta)
         argv = ["search", "--algo", algo, "--fasta", "--file", str(path),
                 "--pattern", pattern.decode()]
         peaks[n] = _traced_peak(argv, out_path)
-    assert peaks[1 << 20] - peaks[1 << 16] < 1 << 20, peaks
+        assert out_path.read_text() == "".join(f"{k}\n" for k in starts)
+    assert peaks[1 << 16] - peaks[1 << 12] < 1 << 15, peaks
 
 
 def test_search_memory_does_not_grow_with_input(tmp_path):
