@@ -4,7 +4,9 @@ Subcommands: ``search`` (run one matcher over bytes from a file, stdin or
 a flag), ``verify`` (cross-check matchers against the oracle over
 exhaustive or seeded-random instance spaces), ``flaw-demo`` (the worked
 false-positive trace), ``dfa-growth``/``dfa-states`` (state-count
-tables), and ``bench`` (seeded throughput measurements as CSV).
+tables), and ``bench`` (seeded throughput measurements). Output has one
+writer per shape: ``_print_report`` for match positions (text or jsonl)
+and ``_print_table`` for the CSV tables of the last three.
 
 Exit codes: 0 success (for ``search``: at least one match), 1 no match,
 2 error / failed verification. ``main`` is the one place that turns an
@@ -25,20 +27,18 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager, nullcontext, suppress
 from random import Random
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .dfa import (
     DEFAULT_STATE_CAP,
     StateLimitExceeded,
     determinize,
-    growth_csv,
     growth_table,
     minimize,
     nfa_state_count,
@@ -89,15 +89,6 @@ class BenchRecord(_Record):
     median_ns: int
     throughput_sym_per_s: float
     seed: int
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.algo},{self.p},{self.t},{self.sigma},{self.words},"
-            f"{self.reps},{self.median_ns},{self.throughput_sym_per_s:.0f},{self.seed}"
-        )
-
-
-BENCH_CSV_HEADER = "algo,p,t,sigma,words,reps,median_ns,throughput_sym_per_s,seed"
 
 
 def random_symbols(n: int, sigma: int, rng: Random) -> bytes:
@@ -247,7 +238,7 @@ def _read_chunks(args) -> Iterator[bytes]:
     bad path fails before any output.
     """
     if args.text is not None:
-        fh, close = io.BytesIO(args.text.encode("latin-1")), True
+        fh, close = io.BytesIO(args.text.encode("latin-1", "surrogateescape")), True
     elif args.file is not None:
         fh, close = open(args.file, "rb"), True
     elif sys.stdin is None:  # started with stdin closed
@@ -326,12 +317,12 @@ def _strip_fasta_headers(
     return b"".join(parts), keep == len(chunk), chunk[-1] in b"\r\n"
 
 
-def _print_report(report: MatchReport, fmt: str) -> None:
+def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, text_len=0) -> None:
     """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at a time.
 
-    ``report`` is a ``MatchReport``, or for jsonl anything with its four
-    fields: ``search`` prints positions read back from its spill file
-    under the final text length, already checked scan by scan.
+    ``pos`` holds checked positions: a tuple for text, any sequence of
+    ints for jsonl, whose lines also carry ``algorithm``, ``pattern_len``
+    and ``text_len``.
 
     Each batch is formatted in one go (``"%d\n" * n % chunk`` for text;
     for jsonl, one f-string per line around a head and a tail that are
@@ -342,14 +333,15 @@ def _print_report(report: MatchReport, fmt: str) -> None:
     whole output as one string: that would be one ``str`` per position,
     tens of MB for a few hundred thousand positions.
     """
-    pos = report.positions
     write = sys.stdout.write
     if fmt == "jsonl":
+        import json  # here, not at the top: the text format pays for none of it
+
         head = (
-            f'{{"algorithm": {json.dumps(report.algorithm)}, '
-            f'"pattern_len": {report.pattern_len}, "position": '
+            f'{{"algorithm": {json.dumps(algorithm)}, '
+            f'"pattern_len": {pattern_len}, "position": '
         )
-        tail = f', "text_len": {report.text_len}}}\n'
+        tail = f', "text_len": {text_len}}}\n'
         for i in range(0, len(pos), PRINT_BATCH):
             write("".join([
                 f'{head}{k}, "position0": {k - 1}{tail}'
@@ -385,21 +377,37 @@ def _stdout_writes() -> Iterator[None]:
             raise
 
 
+def _print_table(header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to stdout as CSV, one line each.
+
+    The one table writer of ``bench``, ``dfa-growth`` and ``dfa-states``.
+    A field that holds a comma, a quote or a line break is quoted.
+    """
+    import csv  # here, not at the top: no other command pays for its import
+
+    with _stdout_writes():
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+
+
 def cmd_search(args) -> int:
     """Print the positions of each scan as it ends.
 
     Every algo scans as it reads (``gsm_scans``, with the algo's searcher
     unless it is gsm). Each scan's positions are checked as a
     ``MatchReport`` over the symbols read so far, and the first of them
-    must follow the last one checked. Both are dropped before the next
-    scan is asked for, so memory holds one read chunk, one block and its
-    carry, one scan's positions and one ``PRINT_BATCH`` of output. A
-    jsonl line carries the text length, known only at the end, so jsonl
-    writes each checked scan's positions to an unnamed temporary file as
-    ``array('q')`` bytes and at the end prints them back ``PRINT_BATCH``
-    at a time with that length.
+    must follow the last one checked. The checked positions are printed
+    and dropped before the next scan is asked for, so memory holds one
+    read chunk, one block and its carry, one scan's positions and one
+    ``PRINT_BATCH`` of output. A jsonl line carries the text length,
+    known only at the end, so jsonl writes each checked scan's positions
+    to an unnamed temporary file as ``array('q')`` bytes and at the end
+    prints them back ``PRINT_BATCH`` at a time with that length.
+    ``--pattern`` and ``--text`` are encoded as latin-1 with
+    ``surrogateescape``: a byte argv could not decode is matched as itself.
     """
-    pattern = args.pattern.encode("latin-1")
+    pattern = args.pattern.encode("latin-1", "surrogateescape")
     if not pattern:
         raise ValueError("pattern must be non-empty")
     algo = args.algo
@@ -410,33 +418,29 @@ def cmd_search(args) -> int:
         # here, not at the top: the text format pays for none of them
         from array import array
         from tempfile import TemporaryFile
-        from types import SimpleNamespace
 
         spill = TemporaryFile()
     last = scanned = 0
     with spill or nullcontext(), _stdout_writes():
         for scanned, positions in scans:
             if positions:
-                report = MatchReport(algo, positions, p, scanned)
+                positions = MatchReport(algo, positions, p, scanned).positions
                 if positions[0] <= last:
                     raise ValueError(
                         f"positions not strictly increasing: {positions[0]} follows {last}"
                     )
                 last = positions[-1]
                 if spill is None:
-                    _print_report(report, "text")
+                    _print_report(positions, "text")
                 else:
                     spill.write(array("q", positions))
-                # dropped before gsm_scans builds the next scan
-                del report
+            # dropped before gsm_scans builds the next scan
             del positions
         if spill is not None and last:
             spill.seek(0)
-            batch = SimpleNamespace(algorithm=algo, pattern_len=p, text_len=scanned)
             size = PRINT_BATCH * array("q").itemsize
             while data := spill.read(size):
-                batch.positions = array("q", data)
-                _print_report(batch, "jsonl")
+                _print_report(array("q", data), "jsonl", algo, p, scanned)
     return 0 if last else 1
 
 
@@ -529,8 +533,11 @@ def cmd_verify(args) -> int:
     pairs = 0
     found = dict.fromkeys(algos, 0)
     with ExitStack() as stack:
-        # opened before the scan, so a bad path fails before any work
-        fixture = open(args.fixture_out, "w", encoding="utf-8") if args.fixture_out else None
+        # opened before the scan, so a bad path fails before any work;
+        # surrogateescape writes back the bytes of a symbol argv could not decode
+        fixture = None
+        if args.fixture_out:
+            fixture = open(args.fixture_out, "w", encoding="utf-8", errors="surrogateescape")
         # one per algo, whose records print as one block; they are read
         # back as written: no newline translation, and surrogatepass
         # carries any symbol of an argv string
@@ -572,8 +579,11 @@ def cmd_flaw_demo(_args) -> int:
 
 def cmd_dfa_growth(args) -> int:
     rows = growth_table(args.k_max, state_cap=args.state_cap)
-    with _stdout_writes():
-        sys.stdout.write(growth_csv(rows))
+    _print_table(
+        ["k", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states", "bound_2k"],
+        ([r.k, len(r.pattern), r.nfa_states, r.dfa_states, r.min_dfa_states, r.bound]
+         for r in rows),
+    )
     bad = [r.k for r in rows if not r.bound_ok]
     if bad:
         print(f"error: lower bound violated at k={bad}", file=sys.stderr)
@@ -583,14 +593,9 @@ def cmd_dfa_growth(args) -> int:
 
 def cmd_dfa_states(args) -> int:
     pattern = args.pattern
-    dfa = determinize(pattern, args.alphabet or None, args.state_cap)
+    dfa = determinize(pattern, state_cap=args.state_cap)
     row = [pattern, len(pattern), nfa_state_count(pattern), dfa.n_states, minimize(dfa).n_states]
-    import csv  # here, not at the top: no other command pays for its import
-
-    with _stdout_writes():
-        out = csv.writer(sys.stdout, lineterminator="\n")
-        out.writerow(["pattern", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states"])
-        out.writerow(row)
+    _print_table(["pattern", "pattern_length", "nfa_states", "dfa_states", "min_dfa_states"], [row])
     return 0
 
 
@@ -603,10 +608,9 @@ def cmd_bench(args) -> int:
             f"p-list must be comma-separated integers, got {args.p_list!r}"
         ) from None
     records = run_bench(algos, p_list, args.t, args.sigma, args.seed, args.reps)
-    with _stdout_writes():
-        print(BENCH_CSV_HEADER)
-        for rec in records:
-            print(rec.csv_row())
+    rows = [[r.algo, r.p, r.t, r.sigma, r.words, r.reps, r.median_ns,
+             f"{r.throughput_sym_per_s:.0f}", r.seed] for r in records]
+    _print_table(BenchRecord._fields, rows)
     return 0
 
 
@@ -666,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_states = sub.add_parser("dfa-states", help="automaton sizes for one pattern")
     p_states.add_argument("--pattern", required=True)
-    p_states.add_argument("--alphabet", default="")
     p_states.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
     p_states.set_defaults(fn=cmd_dfa_states)
 

@@ -10,7 +10,8 @@ family ``ac(abc)^k`` the minimal DFA needs at least 2^k states, so a
 text can drive GSM into at least 2^k distinct signal states. The module
 builds the automata (signal-state DFA, then Moore partition refinement
 to a canonical minimal table) and verifies the bound empirically,
-including the pairwise distinguishing-extension argument behind it.
+including the pairwise distinguishing-extension argument behind it. It
+returns records and formats no output; the CLI prints them as CSV.
 """
 
 from __future__ import annotations
@@ -258,9 +259,6 @@ def _lower_bound(k: int, pair_samples: int, seed: int, state_cap: int) -> LowerB
     )
 
 
-GROWTH_CSV_HEADER = "k,pattern_length,nfa_states,dfa_states,min_dfa_states,bound_2k"
-
-
 def growth_table(
     k_max: int,
     state_cap: int = DEFAULT_STATE_CAP,
@@ -272,13 +270,3 @@ def growth_table(
     if k_max < 1:
         raise ValueError("k-max must be >= 1")
     return [_lower_bound(k, 0, 0, state_cap) for k in range(1, k_max + 1)]
-
-
-def growth_csv(rows: Iterable[LowerBoundReport]) -> str:
-    lines = [GROWTH_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.k},{len(r.pattern)},{r.nfa_states},{r.dfa_states},"
-            f"{r.min_dfa_states},{r.bound}"
-        )
-    return "\n".join(lines) + "\n"

@@ -211,6 +211,11 @@ MUTANTS = (
            "if k else line_start:", "if k else True:", "cli"),
     Mutant("fasta-fast-path-ignores-in-header", "cli.py",
            'if not in_header and b">" not in chunk:', 'if b">" not in chunk:', "cli"),
+    # cli output: the one table writer and the jsonl position line
+    Mutant("table-drops-header", "cli.py",
+           "        out.writerow(header)\n", "", "cli"),
+    Mutant("jsonl-position0-one-based", "cli.py",
+           '"position0": {k - 1}', '"position0": {k}', "cli"),
 )
 
 

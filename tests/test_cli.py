@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -148,7 +149,10 @@ def test_print_report_equals_per_line_reference(algo, fmt, capsys):
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
         # steps of 7 from 9 cross digit-width boundaries inside a batch
         report = MatchReport(algo, range(9, 9 + 7 * n, 7), 3, 7 * n + 11)
-        _print_report(report, fmt)
+        # search prints a checked report's tuple as text, and for jsonl
+        # the array('q') batches it reads back from its spill file
+        pos = report.positions if fmt == "text" else array("q", report.positions)
+        _print_report(pos, fmt, algo, report.pattern_len, report.text_len)
         got = capsys.readouterr().out
         _reference_print_report(report, fmt)
         assert got == capsys.readouterr().out, n
@@ -639,6 +643,17 @@ def test_search_latin1_pattern_bytes(tmp_path):
     assert out == "2\n4\n"
 
 
+def test_search_pattern_byte_not_utf8(tmp_path, capsys):
+    # argv decodes the bytes FF C8, which are not UTF-8, to "\udcff\udcc8";
+    # they are matched as the bytes themselves
+    f = tmp_path / "high.bin"
+    f.write_bytes(bytes([1, 255, 200]))
+    assert main(["search", "--pattern", "\udcff\udcc8", "--file", str(f)]) == 0
+    assert capsys.readouterr() == ("2\n", "")
+    assert main(["search", "--pattern", "\udcc8", "--text", "a\udcc8\u00c8"]) == 0
+    assert capsys.readouterr() == ("2\n3\n", "")
+
+
 def test_search_missing_file_exit_two():
     code, _, err = invoke(
         ["search", "--pattern", "ab", "--file", "/nonexistent/x"]
@@ -800,12 +815,52 @@ def test_verify_discrepancy_in_correct_algo_exit_two(algo, monkeypatch, capsys, 
     )
 
 
-def test_verify_cap_violation_exit_two():
-    code, _, err = invoke(
-        ["verify", "--sigma", "ab", "--p-max", "10", "--t-max", "26"]
-    )
-    assert code == 2
-    assert "error" in err
+def test_verify_fixture_holds_bytes_argv_could_not_decode(tmp_path, monkeypatch, capsys):
+    # argv decodes the byte FF, which is not UTF-8, to "\udcff"; the
+    # fixture holds the byte the shell passed, as stdout does
+    fixture = tmp_path / "disc.tsv"
+    argv = ["verify", "--algos", "smalgo1", "--sigma", "a\udcff", "--p-max", "3",
+            "--t-max", "4", "--fixture-out", str(fixture)]
+    # a stdout that keeps the surrogate, as one with surrogateescape does
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    lines = out.getvalue().splitlines(keepends=True)
+    assert lines[0] == "algo=smalgo1 pairs=420 discrepancies=82\n"
+    assert all(line.startswith("  ") for line in lines[1:])
+    records = [line[2:] for line in lines[1:]]
+    assert len(records) == 82
+    want = "".join(records).encode("utf-8", "surrogateescape")
+    assert b"\xff" in want
+    assert fixture.read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "--sigma", "ab", "--p-max", "10", "--t-max", "26"],
+         "error: string space exceeds the desk-scale cap\n"),
+        (["verify", "--sigma", "ab", "--p-max", "10", "--t-max", "12"],
+         "error: 16756740 pairs exceed the cap 5000000\n"),
+        (["verify", "--mode", "random", "--trials", "1000001"],
+         "error: trials cap is 1000000\n"),
+        (["verify", "--mode", "random", "--t-max", "65537"],
+         "error: random caps: t<=65536, p<=512\n"),
+        (["verify", "--mode", "random", "--p-max", "513", "--t-min", "513", "--t-max", "600"],
+         "error: random caps: t<=65536, p<=512\n"),
+        (["bench", "--t", "100000001"], "error: t=100000001 exceeds the cap 100000000\n"),
+    ],
+    ids=["space-strings", "exhaustive-pairs", "trials", "random-t", "random-p", "bench-t"],
+)
+def test_cap_refusals_exit_two(argv, err, tmp_path, capsys):
+    # each desk-scale cap refuses before any work: no output, no fixture
+    fixture = tmp_path / "disc.tsv"
+    if argv[0] == "verify":
+        argv = [*argv, "--fixture-out", str(fixture)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not fixture.exists()
 
 
 @pytest.mark.parametrize(
@@ -956,6 +1011,17 @@ def test_dfa_states_quotes_csv_pattern(capsys):
     assert rows[1][0] == "a,b"
 
 
+def test_dfa_states_alphabet_option_gone(capsys):
+    # a symbol the pattern lacks changes neither state count, so the
+    # option that declared one is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["dfa-states", "--pattern", "abab", "--alphabet", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --alphabet x\n")
+
+
 def test_dfa_states_cap_exit_two():
     code, _, err = invoke(
         ["dfa-states", "--pattern", "acabcabcabc", "--state-cap", "5"]
@@ -1002,11 +1068,12 @@ def test_bench_csv_schema():
 
 
 def test_cli_import_loads_neither_statistics_nor_csv():
-    # bench and dfa-states import them in their own bodies, so no other
-    # command pays for them at start-up
+    # bench, the table writer and jsonl output import them in their own
+    # bodies, so no other command pays for them at start-up
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, swapmatch.cli; print(sorted({'statistics', 'csv'} & set(sys.modules)))"],
+         "import sys, swapmatch.cli; "
+         "print(sorted({'statistics', 'csv', 'json'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         timeout=60,

@@ -11,7 +11,6 @@ from swapmatch.dfa import (
     Dfa,
     StateLimitExceeded,
     determinize,
-    growth_csv,
     growth_table,
     minimize,
     pattern_family,
@@ -485,14 +484,29 @@ def test_distinguishing_pair_example():
     assert _distinguishing_pair_ok(2, 0, 1)
 
 
-def test_growth_csv_shape():
-    rows = growth_table(3)
-    text = growth_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,pattern_length,nfa_states,dfa_states,min_dfa_states,bound_2k"
-    assert lines[1].startswith("1,5,")
-    assert lines[2].startswith("2,8,")
-    assert len(lines) == 4
+def test_growth_csv_shape(capsys):
+    assert main(["dfa-growth", "--k-max", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [
+        f"{r.k},{len(r.pattern)},{r.nfa_states},{r.dfa_states},{r.min_dfa_states},{r.bound}\n"
+        for r in growth_table(3)
+    ]
+    assert out == "k,pattern_length,nfa_states,dfa_states,min_dfa_states,bound_2k\n" + "".join(rows)
+    assert rows[0].startswith("1,5,") and rows[1].startswith("2,8,")
+
+
+def test_wider_alphabet_leaves_state_counts_unchanged():
+    # a symbol the pattern lacks sends every state back to the start
+    # state, so it adds no state and merges or splits none
+    cases = [(p, "abc") for p in exhaustive_strings("ab", 1, 6)]
+    cases += [(pattern_family(k), "abcd") for k in range(1, 5)]
+    assert len(cases) == 130
+    for pattern, alphabet in cases:
+        narrow, wide = determinize(pattern), determinize(pattern, alphabet)
+        assert wide.alphabet != narrow.alphabet
+        assert wide.n_states == narrow.n_states, pattern
+        assert minimize(wide).n_states == minimize(narrow).n_states, pattern
 
 
 def test_dfa_scan_ends_cross_checks_gsm():
