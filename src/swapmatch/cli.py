@@ -32,6 +32,7 @@ import re
 import sys
 import time
 from contextlib import ExitStack, contextmanager, nullcontext, suppress
+from functools import lru_cache
 from random import Random
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -317,21 +318,69 @@ def _strip_fasta_headers(
     return b"".join(parts), keep == len(chunk), chunk[-1] in b"\r\n"
 
 
+@lru_cache(maxsize=1)
+def _text_thousand() -> list[str]:
+    """The parts whose join with ``str(h)`` is the text lines h000 .. h999."""
+    return ["", *(f"{d:03d}\n" for d in range(1000))]
+
+
+@lru_cache(maxsize=1)
+def _jsonl_thousand(head: str, tail: str) -> list[str]:
+    """The parts whose join with ``str(h)`` is the jsonl lines h001 .. h999.
+
+    ``position`` and ``position0`` of these lines share the digits of h;
+    the h000 line does not (its ``position0`` is (h-1)999).
+    """
+    parts = [head]
+    for d in range(1, 1000):
+        parts += [f'{d:03d}, "position0": ', f"{d - 1:03d}{tail}{head}"]
+    parts[-1] = f"998{tail}"
+    return parts
+
+
+def _run_cut(pos: Sequence[int], i: int, j: int) -> int:
+    """Where a write of ``pos[i:j]`` ends, when more positions follow it.
+
+    That is ``j``, unless ``pos[i:j]`` is a run of consecutive positions
+    that passes a multiple of 1000: then the index of the last such
+    multiple, so that the next write starts a whole thousand.
+    """
+    lo, hi = pos[i], pos[j - 1]
+    if hi - lo == j - 1 - i:
+        end = (hi + 1) // 1000 * 1000
+        if end > lo:
+            return i + end - lo
+    return j
+
+
 def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, text_len=0) -> None:
-    """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at a time.
+    """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at most per write.
 
     ``pos`` holds checked positions: a tuple for text, any sequence of
     ints for jsonl, whose lines also carry ``algorithm``, ``pattern_len``
     and ``text_len``.
 
-    Each batch is formatted in one go (``"%d\n" * n % chunk`` for text;
-    for jsonl, one f-string per line around a head and a tail that are
-    built once, with the keys in sorted order) and handed to one
-    ``write``. The bytes equal a ``print`` per position, or a
-    ``json.dumps(..., sort_keys=True)`` per position for jsonl. The batch
-    is bounded so that a text where every window matches never holds its
-    whole output as one string: that would be one ``str`` per position,
-    tens of MB for a few hundred thousand positions.
+    A batch is formatted in one go and handed to one ``write``. The bytes
+    equal a ``print`` per position, or a ``json.dumps(..., sort_keys=True)``
+    per position for jsonl. The batch is bounded so that a text where
+    every window matches never holds its whole output as one string:
+    that would be one ``str`` per position, tens of MB for a few hundred
+    thousand positions.
+
+    A batch that is a run of consecutive positions (every window of a
+    periodic text matches) is written a thousand lines per ``str.join``:
+    the lines h000 .. h999 are ``str(h)`` joined between fixed parts,
+    built on first use (``_text_thousand``, ``_jsonl_thousand``).
+    Positions below 1000, the ends of a run that are not a whole thousand
+    and, for jsonl, each h000 line are formatted one by one, as is every
+    batch that is not a run: ``"%d\n" * n % chunk`` for text, and for
+    jsonl one f-string per line around a head and a tail built once,
+    with the keys in sorted order. The test for a run is one comparison,
+    ``pos[j - 1] - pos[i] == j - i - 1``, which is exact because the
+    positions are checked and strictly increase: n of them span n
+    values only when none is skipped. A run that goes on past a batch
+    is cut at its last whole thousand (``_run_cut``), so that the next
+    batch starts one.
     """
     write = sys.stdout.write
     if fmt == "jsonl":
@@ -342,20 +391,46 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
             f'"pattern_len": {pattern_len}, "position": '
         )
         tail = f', "text_len": {text_len}}}\n'
-        for i in range(0, len(pos), PRINT_BATCH):
-            write("".join([
-                f'{head}{k}, "position0": {k - 1}{tail}'
-                for k in pos[i:i + PRINT_BATCH]
-            ]))
+
+        def lines(ks: Iterable[int]) -> str:
+            return "".join([f'{head}{k}, "position0": {k - 1}{tail}' for k in ks])
+
+        def thousand(h: int) -> str:
+            return lines((h * 1000,)) + str(h).join(_jsonl_thousand(head, tail))
     else:
-        for i in range(0, len(pos), PRINT_BATCH):
-            chunk = pos[i:i + PRINT_BATCH]
-            write("%d\n" * len(chunk) % chunk)
+        def lines(ks: Sequence[int]) -> str:
+            return "%d\n" * len(ks) % tuple(ks)
+
+        def thousand(h: int) -> str:
+            return str(h).join(_text_thousand())
+
+    i, end = 0, len(pos)
+    while i < end:
+        j = min(i + PRINT_BATCH, end)
+        if j < end:
+            j = _run_cut(pos, i, j)
+        n = j - i
+        lo, hi = pos[i], pos[j - 1]
+        # the whole thousands of the run, (a .. b - 1) // 1000
+        a, b = max(-(-lo // 1000), 1) * 1000, (hi + 1) // 1000 * 1000
+        if hi - lo == n - 1 and a < b:
+            write("".join([
+                lines(range(lo, a)),
+                *[thousand(h) for h in range(a // 1000, b // 1000)],
+                lines(range(b, hi + 1)),
+            ]))
+        else:
+            write(lines(pos[i:j]))
+        i = j
 
 
 @contextmanager
 def _stdout_writes() -> Iterator[None]:
     """Run a command's writes to stdout, then flush them.
+
+    A symbol of an argv string that argv could not decode is written as
+    the byte it stands for (``surrogateescape``), as ``--fixture-out``
+    writes it, whatever error handler stdout was opened with.
 
     A reader that has gone (``| head``) ends the output quietly; any other
     failed write is re-raised for ``main`` to report. Either way stdout's
@@ -365,6 +440,8 @@ def _stdout_writes() -> Iterator[None]:
     reads that raise ``ReadError`` for a failed read (``_chunks``).
     """
     try:
+        with suppress(AttributeError):  # a stdout with no encoding of its own
+            sys.stdout.reconfigure(errors="surrogateescape")
         yield
         sys.stdout.flush()
     except OSError as exc:
@@ -403,7 +480,9 @@ def cmd_search(args) -> int:
     ``PRINT_BATCH`` of output. A jsonl line carries the text length,
     known only at the end, so jsonl writes each checked scan's positions
     to an unnamed temporary file as ``array('q')`` bytes and at the end
-    prints them back ``PRINT_BATCH`` at a time with that length.
+    prints them back ``PRINT_BATCH`` at a time with that length; a read
+    that ends inside a run is printed up to the run's last whole
+    thousand, and the rest (under 1000 positions) with the next read.
     ``--pattern`` and ``--text`` are encoded as latin-1 with
     ``surrogateescape``: a byte argv could not decode is matched as itself.
     """
@@ -437,10 +516,17 @@ def cmd_search(args) -> int:
             # dropped before gsm_scans builds the next scan
             del positions
         if spill is not None and last:
+            end = spill.tell()
             spill.seek(0)
-            size = PRINT_BATCH * array("q").itemsize
+            batch = array("q")
+            size = PRINT_BATCH * batch.itemsize
             while data := spill.read(size):
-                _print_report(array("q", data), "jsonl", algo, p, scanned)
+                batch.frombytes(data)
+                # a run that goes on is printed up to its last whole
+                # thousand; the rest goes with the next read
+                n = len(batch) if spill.tell() == end else _run_cut(batch, 0, len(batch))
+                _print_report(batch[:n], "jsonl", algo, p, scanned)
+                del batch[:n]
     return 0 if last else 1
 
 

@@ -216,6 +216,11 @@ MUTANTS = (
            "        out.writerow(header)\n", "", "cli"),
     Mutant("jsonl-position0-one-based", "cli.py",
            '"position0": {k - 1}', '"position0": {k}', "cli"),
+    # cli._print_report: runs of consecutive positions, a thousand lines per join
+    Mutant("jsonl-thousand-position0-off-by-one", "cli.py",
+           'f"{d - 1:03d}{tail}{head}"', 'f"{d:03d}{tail}{head}"', "cli"),
+    Mutant("run-test-accepts-a-gap", "cli.py",
+           "hi - lo == n - 1", "hi - lo <= n", "cli"),
 )
 
 

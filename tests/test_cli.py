@@ -142,20 +142,49 @@ def _reference_print_report(report, fmt):
             print(k)
 
 
-@pytest.mark.parametrize("fmt", ["text", "jsonl"])
-@pytest.mark.parametrize("algo", sorted(SEARCHERS))
-def test_print_report_equals_per_line_reference(algo, fmt, capsys):
+def _print_report_inputs():
     b = PRINT_BATCH
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
         # steps of 7 from 9 cross digit-width boundaries inside a batch
-        report = MatchReport(algo, range(9, 9 + 7 * n, 7), 3, 7 * n + 11)
+        yield list(range(9, 9 + 7 * n, 7))
+    # runs of consecutive positions, which are written a thousand lines
+    # per join: from 1 (across 999 -> 1000) and longer than two batches,
+    # from either side of a thousand, shorter than a thousand, and across
+    # 99,999 -> 100,000
+    yield list(range(1, 2 * b + 3))
+    for lo in (998, 999, 1000, 1001, 1002, 9998, 9999, 10_000, 10_001):
+        yield list(range(lo, lo + 2100))
+    yield list(range(1001, 1999))
+    yield list(range(1000, 2000))
+    yield list(range(99_990, 100_010))
+    yield list(range(98_765, 98_765 + 2 * b + 1))
+    # sparse, then a run from the middle of a batch (so that the batch
+    # after it starts off a thousand), then sparse again
+    yield [3, 70, 900, *range(1234, 1234 + 2 * b + 5), 20_000, 30_001, 30_003]
+    # one position short of a run
+    yield [k for k in range(1, 3001) if k != 1500]
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("algo", sorted(SEARCHERS))
+def test_print_report_equals_per_line_reference(algo, fmt, capsys, monkeypatch):
+    for positions in _print_report_inputs():
+        report = MatchReport(algo, positions, 3, (positions[-1] if positions else 0) + 11)
         # search prints a checked report's tuple as text, and for jsonl
         # the array('q') batches it reads back from its spill file
         pos = report.positions if fmt == "text" else array("q", report.positions)
-        _print_report(pos, fmt, algo, report.pattern_len, report.text_len)
-        got = capsys.readouterr().out
+        writes = []
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+            _print_report(pos, fmt, algo, report.pattern_len, report.text_len)
+        assert max((w.count("\n") for w in writes), default=0) <= PRINT_BATCH
         _reference_print_report(report, fmt)
-        assert got == capsys.readouterr().out, n
+        got, want = "".join(writes).splitlines(), capsys.readouterr().out.splitlines()
+        # a failure names the first line that differs: pytest's diff of
+        # some 10^4 lines takes minutes
+        same = got == want
+        assert same, (positions[:3], next(gw for gw in zip([*got, ""], [*want, ""])
+                                          if gw[0] != gw[1]))
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
@@ -169,6 +198,28 @@ def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
     got = capsys.readouterr().out
     _reference_print_report(MatchReport("gsm", range(1, t - 2), 4, t), fmt)
     assert got == capsys.readouterr().out
+
+
+def test_thousand_tables_built_on_first_use(tmp_path):
+    # a fresh process: importing the CLI builds neither table (every
+    # command pays for its import), and a dense search in each format
+    # builds its own table once
+    path = tmp_path / "ab.txt"
+    path.write_bytes(b"ab" * 5000)
+    script = (
+        "import os, sys\n"
+        "import swapmatch.cli as cli\n"
+        "tables = [cli._text_thousand, cli._jsonl_thousand]\n"
+        "print([t.cache_info().misses for t in tables], flush=True)\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "for fmt in ('text', 'jsonl'):\n"
+        "    argv = ['search', '--file', sys.argv[1], '--pattern', 'abab', '--format', fmt]\n"
+        "    assert cli.main(argv) == 0\n"
+        "    print([t.cache_info().misses for t in tables], file=out)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.stdout, proc.stderr) == ("[0, 0]\n[1, 0]\n[1, 1]\n", "")
 
 
 def test_search_jsonl_multi_scan_from_stdin_and_file(tmp_path, capsys):
@@ -834,6 +885,31 @@ def test_verify_fixture_holds_bytes_argv_could_not_decode(tmp_path, monkeypatch,
     want = "".join(records).encode("utf-8", "surrogateescape")
     assert b"\xff" in want
     assert fixture.read_bytes() == want
+
+
+def test_argv_bytes_reach_a_strict_utf8_stdout(tmp_path):
+    # argv decodes the byte FF, which is not UTF-8, to "\udcff"; a stdout
+    # opened to encode UTF-8 strictly still gets the byte FF
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "swapmatch.cli", *argv], capture_output=True,
+            env=dict(os.environ, PYTHONIOENCODING="utf-8:strict"), timeout=300,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("dfa-states", "--pattern", b"a\xffb")
+    assert (code, err) == (0, b"")
+    # three distinct symbols either way, so the same automaton sizes
+    assert out == run("dfa-states", "--pattern", "acb")[1].replace(b"\nacb,", b"\na\xffb,")
+    fixture = tmp_path / "disc.tsv"
+    code, out, err = run("verify", "--algos", "smalgo1", "--sigma", b"a\xff", "--p-max", "3",
+                         "--t-max", "4", "--fixture-out", str(fixture))
+    assert (code, err) == (0, b"")
+    lines = out.splitlines(keepends=True)
+    assert lines[0] == b"algo=smalgo1 pairs=420 discrepancies=82\n"
+    assert all(line.startswith(b"  ") for line in lines[1:])
+    assert b"\xff" in fixture.read_bytes()
+    assert b"".join(line[2:] for line in lines[1:]) == fixture.read_bytes()
 
 
 @pytest.mark.parametrize(
