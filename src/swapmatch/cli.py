@@ -338,19 +338,18 @@ def _jsonl_thousand(head: str, tail: str) -> list[str]:
     return parts
 
 
-def _run_cut(pos: Sequence[int], i: int, j: int) -> int:
-    """Where a write of ``pos[i:j]`` ends, when more positions follow it.
+def _run_thousands(pos: Sequence[int], i: int, j: int) -> tuple[int, int] | None:
+    """The whole thousands ``a .. b - 1`` of ``pos[i:j]``, or None.
 
-    That is ``j``, unless ``pos[i:j]`` is a run of consecutive positions
-    that passes a multiple of 1000: then the index of the last such
-    multiple, so that the next write starts a whole thousand.
+    None unless ``pos[i:j]`` is a run of consecutive positions (one
+    comparison, see ``_print_report``) that passes a multiple of 1000
+    (``b > pos[i]``); ``a == b`` when it holds no whole thousand.
     """
     lo, hi = pos[i], pos[j - 1]
-    if hi - lo == j - 1 - i:
-        end = (hi + 1) // 1000 * 1000
-        if end > lo:
-            return i + end - lo
-    return j
+    b = (hi + 1) // 1000 * 1000
+    if hi - lo == j - 1 - i and b > lo:
+        return max(-(-lo // 1000), 1) * 1000, b
+    return None
 
 
 def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, text_len=0) -> None:
@@ -378,9 +377,9 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
     with the keys in sorted order. The test for a run is one comparison,
     ``pos[j - 1] - pos[i] == j - i - 1``, which is exact because the
     positions are checked and strictly increase: n of them span n
-    values only when none is skipped. A run that goes on past a batch
-    is cut at its last whole thousand (``_run_cut``), so that the next
-    batch starts one.
+    values only when none is skipped (``_run_thousands``). A run that
+    goes on past a batch is cut at its last whole thousand, so that the
+    next batch starts one.
     """
     write = sys.stdout.write
     if fmt == "jsonl":
@@ -407,20 +406,18 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
     i, end = 0, len(pos)
     while i < end:
         j = min(i + PRINT_BATCH, end)
-        if j < end:
-            j = _run_cut(pos, i, j)
-        n = j - i
-        lo, hi = pos[i], pos[j - 1]
-        # the whole thousands of the run, (a .. b - 1) // 1000
-        a, b = max(-(-lo // 1000), 1) * 1000, (hi + 1) // 1000 * 1000
-        if hi - lo == n - 1 and a < b:
+        run = _run_thousands(pos, i, j)
+        if run is None:
+            write(lines(pos[i:j]))
+        else:
+            lo, (a, b) = pos[i], run
+            if j < end:
+                j = i + b - lo  # the next batch starts a whole thousand
             write("".join([
                 lines(range(lo, a)),
                 *[thousand(h) for h in range(a // 1000, b // 1000)],
-                lines(range(b, hi + 1)),
+                lines(range(b, pos[j - 1] + 1)),
             ]))
-        else:
-            write(lines(pos[i:j]))
         i = j
 
 
@@ -524,7 +521,8 @@ def cmd_search(args) -> int:
                 batch.frombytes(data)
                 # a run that goes on is printed up to its last whole
                 # thousand; the rest goes with the next read
-                n = len(batch) if spill.tell() == end else _run_cut(batch, 0, len(batch))
+                run = None if spill.tell() == end else _run_thousands(batch, 0, len(batch))
+                n = len(batch) if run is None else run[1] - batch[0]
                 _print_report(batch[:n], "jsonl", algo, p, scanned)
                 del batch[:n]
     return 0 if last else 1

@@ -220,7 +220,7 @@ MUTANTS = (
     Mutant("jsonl-thousand-position0-off-by-one", "cli.py",
            'f"{d - 1:03d}{tail}{head}"', 'f"{d:03d}{tail}{head}"', "cli"),
     Mutant("run-test-accepts-a-gap", "cli.py",
-           "hi - lo == n - 1", "hi - lo <= n", "cli"),
+           "hi - lo == j - 1 - i", "hi - lo <= j - i", "cli"),
 )
 
 

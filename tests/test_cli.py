@@ -179,12 +179,13 @@ def test_print_report_equals_per_line_reference(algo, fmt, capsys, monkeypatch):
             _print_report(pos, fmt, algo, report.pattern_len, report.text_len)
         assert max((w.count("\n") for w in writes), default=0) <= PRINT_BATCH
         _reference_print_report(report, fmt)
-        got, want = "".join(writes).splitlines(), capsys.readouterr().out.splitlines()
-        # a failure names the first line that differs: pytest's diff of
-        # some 10^4 lines takes minutes
-        same = got == want
-        assert same, (positions[:3], next(gw for gw in zip([*got, ""], [*want, ""])
-                                          if gw[0] != gw[1]))
+        got, want = "".join(writes), capsys.readouterr().out
+        if got != want:
+            # name the first line that differs: pytest's diff of some
+            # 10^4 lines takes minutes
+            got, want = got.splitlines(True) + [""], want.splitlines(True) + [""]
+            pytest.fail(repr((positions[:3], next(gw for gw in zip(got, want)
+                                                  if gw[0] != gw[1]))))
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
