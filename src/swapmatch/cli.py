@@ -355,9 +355,11 @@ def _run_thousands(pos: Sequence[int], i: int, j: int) -> tuple[int, int] | None
 def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, text_len=0) -> None:
     """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at most per write.
 
-    ``pos`` holds checked positions: a tuple for text, any sequence of
-    ints for jsonl, whose lines also carry ``algorithm``, ``pattern_len``
-    and ``text_len``.
+    ``pos`` holds checked positions: a ``MatchReport``'s tuple or range
+    for text, any sequence of ints for jsonl, whose lines also carry
+    ``algorithm``, ``pattern_len`` and ``text_len``. A range, the
+    positions of a scan where every window matches, is read by index and
+    slice like a tuple, with no per-position copy before the formatting.
 
     A batch is formatted in one go and handed to one ``write``. The bytes
     equal a ``print`` per position, or a ``json.dumps(..., sort_keys=True)``

@@ -208,31 +208,47 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _extend_positions(out: list, a: int, first: int, w: int) -> None:
-    """Append ``first + k`` for each set lane of ``a``, k counted from its top lane.
+    """Append to ``out`` the positions of ``a``'s set lanes as one piece:
+    ``first + k`` for the lane k lanes below its top lane.
 
     Lanes are w bits wide, and each is one digit of ``a`` in binary (w = 1)
-    or hex (w = 4). Sparse lanes are found one ``str.find`` call each;
-    dense ones by one C pass of ``compress`` over all digits, which is
-    cheaper once at least one lane in 8 is set: over a block of 2^15 lanes
-    a ``find`` call costs about 170-300 ns per set lane and ``compress``
-    25-35 ns per lane, set or not (CPython 3.11), so they cross between
-    one set lane in 6 and one in 10.
+    or hex (w = 4); ``a`` has n = ceil(bit_length / w) of them, its top
+    lane set. A block where every window matches (a periodic text) has
+    all n set, and its piece is ``range(first, first + n)``, built with
+    no per-lane work. The test, ``bit_count() == n``, is exact: n lanes
+    from the top set lane down to lane 0 are all set only when their
+    positions are consecutive, and a set lane holds exactly one set bit.
+    Otherwise the piece is a list. Sparse lanes are found one
+    ``str.find`` call each; dense ones by one C pass of ``compress`` over
+    all digits, which is cheaper once at least one lane in 8 is set: over
+    a block of 2^15 lanes a ``find`` call costs about 170-300 ns per set
+    lane and ``compress`` 25-35 ns per lane, set or not (CPython 3.11), so
+    they cross between one set lane in 6 and one in 10.
     """
+    n = (a.bit_length() + w - 1) // w
+    count = a.bit_count()
+    if count == n:
+        out.append(range(first, first + n))
+        return
     bits = format(a, "b" if w == 1 else "x")
-    if a.bit_count() * 8 < len(bits):
+    if count * 8 < n:
         find = bits.find
+        piece = []
         k = find("1")
         while k >= 0:
-            out.append(first + k)
+            piece.append(first + k)
             k = find("1", k + 1)
     else:
-        positions = range(first, first + len(bits))
-        out.extend(compress(positions, bits.encode().translate(_BIT_BYTES)))
+        piece = list(compress(range(first, first + n), bits.encode().translate(_BIT_BYTES)))
+    out.append(piece)
 
 
 def _scan_chunk(table, j, p, chunk, out):
     """Append to ``out`` the 1-based positions of the windows of ``chunk``
-    that fit in it; ``j`` is the number of text symbols before the chunk.
+    that fit in it, one ascending piece per block with a match (a list, or
+    a range when every window of the block matches, see
+    ``_extend_positions``); ``j`` is the number of text symbols before the
+    chunk.
 
     The recurrence runs transposed: bit-parallel over the text positions
     of a block, one pattern column at a time. Block b holds
@@ -317,7 +333,8 @@ def gsm_scans(
     bounded by one block plus that carry plus one chunk, and one scan's
     positions. A scan's positions are those whose window ends in its new
     symbols, ascending, so each window is reported once, and every later
-    scan's come after them.
+    scan's come after them. They are a list, or a ``range`` when the scan
+    is one block of GSM's scan where every window matches (see ``_scan``).
     """
     p = len(pattern)
     if p == 0:
@@ -347,13 +364,21 @@ def gsm_scans(
         yield read, _scan(pattern, table, search, text, read - len(text), len(text) - size)
 
 
-def _scan(pattern, table, search, text, j, carried) -> list[int]:
+def _scan(pattern, table, search, text, j, carried) -> list[int] | range:
     """One scan of ``gsm_scans``: the positions of the windows of ``text``
-    that end past its first ``carried`` symbols, ``j`` symbols preceding it."""
+    that end past its first ``carried`` symbols, ``j`` symbols preceding it.
+
+    GSM's block scan gives one piece per block with a match. The only
+    piece is returned as it is, so a one-block scan where every window
+    matches (a periodic text read ``BLOCK`` symbols at a time) passes on
+    one ``range``; more pieces are joined into one list in C.
+    """
     if search is None:
-        out: list[int] = []
+        out: list = []
         _scan_chunk(table, j, len(pattern), text, out)
-        return out
+        if len(out) == 1:
+            return out[0]
+        return list(chain.from_iterable(out))
     p = len(pattern)
     return [j + k for k in search(pattern, text).positions if k + p - 1 > carried]
 

@@ -107,32 +107,38 @@ class MatchReport(_Record):
 
     Construction checks that the positions strictly increase and that
     every window fits in the text, and raises ``ValueError`` otherwise.
-    The increase is checked pairwise in one C-level pass (``map`` of
-    ``operator.lt``) rather than a Python loop, because a text where
-    every window matches hands over one position per symbol; once the
-    positions increase, only the first and the last can be out of range.
-    The error names the first offending pair, not the whole tuple, so
-    its size does not grow with the report.
+    A ``range`` with a positive step is kept as it is: it strictly
+    increases by construction, so only its first and last are checked,
+    and a scan where every window matches hands it on with no
+    per-position work (such a report equals one holding the same range,
+    not one holding its positions as a tuple). Any other sequence is kept
+    as a tuple, and its increase is checked pairwise in one C-level pass
+    (``map`` of ``operator.lt``) rather than a Python loop, because a text
+    where every window matches hands over one position per symbol; once
+    the positions increase, only the first and the last can be out of
+    range. The error names the first offending pair, not the whole tuple,
+    so its size does not grow with the report.
     """
 
     algorithm: str
-    positions: tuple[int, ...]
+    positions: tuple[int, ...] | range
     pattern_len: int
     text_len: int
 
     def __post_init__(self) -> None:
         pos = self.positions
-        if not isinstance(pos, tuple):
-            pos = tuple(pos)
-            self.__dict__["positions"] = pos
+        if not (isinstance(pos, range) and pos.step > 0):
+            if not isinstance(pos, tuple):
+                pos = tuple(pos)
+                self.__dict__["positions"] = pos
+            if not all(map(lt, pos, islice(pos, 1, None))):
+                i = next(i for i in range(len(pos) - 1) if pos[i] >= pos[i + 1])
+                raise ValueError(
+                    "positions not strictly increasing: "
+                    f"positions[{i}]={pos[i]} >= positions[{i + 1}]={pos[i + 1]}"
+                )
         if not pos:
             return
-        if not all(map(lt, pos, islice(pos, 1, None))):
-            i = next(i for i in range(len(pos) - 1) if pos[i] >= pos[i + 1])
-            raise ValueError(
-                "positions not strictly increasing: "
-                f"positions[{i}]={pos[i]} >= positions[{i + 1}]={pos[i + 1]}"
-            )
         last_valid = self.text_len - self.pattern_len + 1
         for k in (pos[0], pos[-1]):
             if not 1 <= k <= last_valid:

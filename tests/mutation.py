@@ -86,14 +86,23 @@ MUTANTS = (
            'b"\\x11" * ((BLOCK + p) // 2)', 'b"\\x11" * ((BLOCK + p) // 2 - 1)',
            "conformance"),
     Mutant("extract-always-by-find", "gsm.py",
-           "if a.bit_count() * 8 < len(bits):", "if True:", "conformance",
+           "if count * 8 < n:", "if True:", "conformance",
            "find and compress read the same set lanes; the threshold picks the "
            "cheaper one"),
     Mutant("extract-find-skips-a-lane", "gsm.py",
            'k = find("1", k + 1)', 'k = find("1", k + 2)', "conformance"),
     Mutant("extract-compress-off-by-one", "gsm.py",
-           "positions = range(first, first + len(bits))",
-           "positions = range(first + 1, first + 1 + len(bits))", "conformance"),
+           "piece = list(compress(range(first, first + n),",
+           "piece = list(compress(range(first + 1, first + 1 + n),", "conformance"),
+    # gsm._extend_positions and gsm._scan: a block whose every lane is set
+    # is one range, and a scan's only piece is passed on as it is
+    Mutant("extract-range-one-lane-late", "gsm.py",
+           "out.append(range(first, first + n))",
+           "out.append(range(first + 1, first + 1 + n))", "conformance"),
+    Mutant("extract-range-with-a-lane-unset", "gsm.py",
+           "if count == n:", "if count >= n - 1:", "conformance"),
+    Mutant("scan-returns-first-piece-only", "gsm.py",
+           "if len(out) == 1:", "if out:", "conformance"),
     # gsm._mask_triples: the pending-swap row of the plan
     Mutant("swap-row-never", "gsm.py",
            "cols[i + 1] if i + 1 < p and cols[i + 1] != cols[i] else None,", "None,",
@@ -184,6 +193,9 @@ MUTANTS = (
            "islice(pos, 1, None)", "islice(pos, 2, None)", "report"),
     Mutant("report-range-checks-first-only", "report.py",
            "for k in (pos[0], pos[-1]):", "for k in (pos[0],):", "report"),
+    Mutant("report-keeps-any-range", "report.py",
+           "isinstance(pos, range) and pos.step > 0", "isinstance(pos, range) and True",
+           "report"),
     # report._Record: the one constructor and the value semantics of every record
     Mutant("records-skip-check", "report.py",
            "        self.__post_init__()\n", "", "report"),

@@ -142,6 +142,15 @@ def _reference_print_report(report, fmt):
             print(k)
 
 
+def _assert_same_output(got: str, want: str, context) -> None:
+    """Assert that ``got`` equals ``want``, every byte, and otherwise fail
+    naming ``context`` and the first line that differs: pytest's diff of
+    some 10^4 lines takes minutes."""
+    if got != want:
+        got, want = got.splitlines(True) + [""], want.splitlines(True) + [""]
+        pytest.fail(repr((context, next(gw for gw in zip(got, want) if gw[0] != gw[1]))))
+
+
 def _print_report_inputs():
     b = PRINT_BATCH
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
@@ -179,13 +188,7 @@ def test_print_report_equals_per_line_reference(algo, fmt, capsys, monkeypatch):
             _print_report(pos, fmt, algo, report.pattern_len, report.text_len)
         assert max((w.count("\n") for w in writes), default=0) <= PRINT_BATCH
         _reference_print_report(report, fmt)
-        got, want = "".join(writes), capsys.readouterr().out
-        if got != want:
-            # name the first line that differs: pytest's diff of some
-            # 10^4 lines takes minutes
-            got, want = got.splitlines(True) + [""], want.splitlines(True) + [""]
-            pytest.fail(repr((positions[:3], next(gw for gw in zip(got, want)
-                                                  if gw[0] != gw[1]))))
+        _assert_same_output("".join(writes), capsys.readouterr().out, positions[:3])
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
@@ -198,7 +201,34 @@ def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
     assert code == 0
     got = capsys.readouterr().out
     _reference_print_report(MatchReport("gsm", range(1, t - 2), 4, t), fmt)
-    assert got == capsys.readouterr().out
+    _assert_same_output(got, capsys.readouterr().out, fmt)
+
+
+def test_search_dense_text_with_one_gap_equals_per_line_reference(tmp_path, capsys, monkeypatch):
+    # four scans of one block each over ab-periodic text, but for one "bb"
+    # in the second: that window alone fails "ab", so its scan's positions
+    # are a list and every other scan's a range
+    t, k = 3 * gsm.BLOCK + 101, gsm.BLOCK + 1000
+    periodic = b"ab" * t
+    text = periodic[:k] + periodic[k - 1:t - 1]
+    path = tmp_path / "ab.txt"
+    path.write_bytes(text)
+    kinds = []
+    scan = gsm._scan
+
+    def recording(*args):
+        positions = scan(*args)
+        kinds.append(type(positions))
+        return positions
+
+    monkeypatch.setattr(gsm, "_scan", recording)
+    assert main(["search", "--file", str(path), "--pattern", "ab"]) == 0
+    got = capsys.readouterr().out
+    assert kinds == [range, list, range, range]
+    report = oracle_search(b"ab", text)
+    assert report.positions == (*range(1, k), *range(k + 1, t))
+    _reference_print_report(report, "text")
+    _assert_same_output(got, capsys.readouterr().out, "one gap")
 
 
 def test_thousand_tables_built_on_first_use(tmp_path):
@@ -233,8 +263,11 @@ def test_search_jsonl_multi_scan_from_stdin_and_file(tmp_path, capsys):
     _reference_print_report(MatchReport("gsm", range(1, t - 2), 4, t), "jsonl")
     want = capsys.readouterr().out
     argv = ["search", "--pattern", "abab", "--format", "jsonl"]
-    assert invoke([*argv, "--file", str(path)]) == (0, want, "")
-    assert invoke(argv, stdin_bytes=text) == (0, want, "")
+    for source, result in (("file", invoke([*argv, "--file", str(path)])),
+                           ("stdin", invoke(argv, stdin_bytes=text))):
+        code, out, err = result
+        assert (code, err) == (0, ""), source
+        _assert_same_output(out, want, source)
 
 
 @pytest.mark.parametrize("source", ["file", "stdin", "empty"])

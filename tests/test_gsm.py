@@ -1,6 +1,7 @@
 """GSM matcher: masks, the 13-op step, searches, and oracle equivalence."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -476,7 +477,11 @@ def test_block_finds_exactly_the_windows_that_start_in_it(sigma, p):
         out = []
         chunk = text[k * BLOCK:(k + 1) * BLOCK + p - 1]
         _scan_chunk(_mask_triples(pattern), k * BLOCK, p, chunk, out)
-        assert out == [x for x in want if k * BLOCK < x <= (k + 1) * BLOCK], k
+        # one piece per block with a match
+        assert len(out) <= 1
+        assert list(chain.from_iterable(out)) == [
+            x for x in want if k * BLOCK < x <= (k + 1) * BLOCK
+        ], k
 
 
 def _record_occurrences(monkeypatch) -> list:
@@ -611,25 +616,73 @@ def test_repeated_neighbours_equal_oracle_across_blocks():
 # -- position extraction ---------------------------------------------------------------
 
 
+def _lanes_int(lanes, w: int) -> int:
+    """The int whose lanes, w bits each and the first on top, hold ``lanes``."""
+    a = 0
+    for bit in lanes:
+        a = a << w | bit
+    return a
+
+
+def _extracted(a: int, first: int, w: int) -> list:
+    """``_extend_positions``'s one piece, appended after a marker."""
+    out = [-1]
+    gsm._extend_positions(out, a, first, w)
+    assert len(out) == 2 and out[0] == -1
+    return out[1]
+
+
 @pytest.mark.parametrize("w", [1, 4])
 def test_extend_positions_branches_agree_around_crossover(w, monkeypatch):
-    # one set lane in 2 to 1 in 64: dense lanes go through compress, sparse
-    # ones through find, and both give every set lane's position
+    # one set lane in 1 to 1 in 64: lanes all set make a range, other dense
+    # lanes go through compress, sparse ones through find, and each gives
+    # every set lane's position
     calls = []
     compress = gsm.compress
     monkeypatch.setattr(gsm, "compress", lambda *args: calls.append(1) or compress(*args))
     rng = random.Random(w)
     n = 4096
     branches = set()
-    for density in (2, 4, 6, 7, 9, 10, 16, 64):
+    for density in (1, 2, 4, 6, 7, 9, 10, 16, 64):
         for first in (1, 77):
             lanes = [1] + [int(rng.random() < 1 / density) for _ in range(n - 1)]
-            a = 0
-            for bit in lanes:
-                a = a << w | bit
-            out = [-1]
             calls.clear()
-            gsm._extend_positions(out, a, first, w)
-            branches.add("compress" if calls else "find")
-            assert out == [-1] + [first + k for k, bit in enumerate(lanes) if bit], density
-    assert branches == {"compress", "find"}
+            piece = _extracted(_lanes_int(lanes, w), first, w)
+            kind = "range" if type(piece) is range else "compress" if calls else "find"
+            assert kind == "range" or type(piece) is list
+            branches.add(kind)
+            assert list(piece) == [first + k for k, bit in enumerate(lanes) if bit], density
+    assert branches == {"range", "compress", "find"}
+
+
+@pytest.mark.parametrize("w", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 100, BLOCK])
+def test_extend_positions_range_only_when_every_lane_is_set(w, n):
+    # all n lanes set, all but one (each end and the middle), and a == 1,
+    # which is one lane, set: a range exactly when none is missing
+    first = 5
+    cases = [[1] * n]
+    for gap in {1, n // 2, n - 1} - {0}:
+        cases.append([int(k != gap) for k in range(n)])
+    for lanes in [*cases, [1]]:
+        piece = _extracted(_lanes_int(lanes, w), first, w)
+        want = [first + k for k, bit in enumerate(lanes) if bit]
+        assert list(piece) == want
+        assert type(piece) is (range if len(want) == len(lanes) else list), (n, len(want))
+
+
+@pytest.mark.parametrize("as_bytes", [False, True])
+@pytest.mark.parametrize("pattern", ["ab" * 4, "ab" * 32, "ACGT" * 2], ids=["ab8", "ab64", "ACGT8"])
+def test_search_dense_over_several_blocks_returns_oracle_tuple(pattern, as_bytes):
+    # every window of a periodic ab text matches, so each block is a range
+    # piece (ACGT: one window in 4, a list piece); the whole search is
+    # still one tuple equal to the oracle's
+    text = pattern * ((3 * BLOCK + 500) // len(pattern))
+    want = oracle_search(pattern, text).positions
+    windows = len(text) - len(pattern) + 1
+    assert len(want) == (windows if pattern[0] == "a" else -(-windows // 4))
+    if as_bytes:
+        pattern, text = pattern.encode(), text.encode()
+    got = gsm_search(pattern, text).positions
+    assert type(got) is tuple and got == want
+    assert tuple(gsm_search_stream(pattern, (text,))) == want

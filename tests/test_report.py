@@ -80,6 +80,43 @@ def test_unsorted_error_message_is_bounded():
     assert "positions[99999]=100000 >= positions[100000]=100000" in str(info.value)
 
 
+def _error(positions, p, t):
+    """The ``ValueError`` message of ``MatchReport`` over ``positions``, or None."""
+    try:
+        MatchReport("gsm", positions, p, t)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_ascending_range_kept_as_it_is():
+    # a positive-step range strictly increases by construction: it is
+    # kept, not copied into a tuple, and still checked at both ends
+    for r in (range(1, 6), range(2, 6, 2), range(3, 4)):
+        report = MatchReport("gsm", r, 2, 6)
+        assert report.positions is r
+        assert list(report.positions) == list(MatchReport("gsm", tuple(r), 2, 6).positions)
+
+
+@pytest.mark.parametrize("r", [range(5, 3, -1), range(5, 0, -2), range(3, 1, -1)])
+def test_descending_range_raises_as_its_tuple(r):
+    assert len(r) >= 2
+    message = _error(r, 2, 6)
+    assert message is not None and message.startswith("positions not strictly increasing")
+    assert message == _error(tuple(r), 2, 6)
+
+
+@pytest.mark.parametrize(
+    "r", [range(4, 4), range(4, 1), range(0, 3), range(1, 7), range(6, 9), range(0, 9, 3)]
+)
+def test_empty_and_out_of_window_ranges_behave_as_their_tuples(r):
+    assert _error(r, 2, 6) == _error(tuple(r), 2, 6)
+    if not r:
+        assert not MatchReport("gsm", r, 2, 6)
+    else:
+        assert _error(r, 2, 6).startswith("position ")
+
+
 def _records():
     """Every result record class, with its field names, one instance's
     values, and the values of an unequal instance."""
