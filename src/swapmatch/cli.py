@@ -15,10 +15,11 @@ reached) into an ``error:`` line on stderr and exit 2. Each command
 writes to stdout inside ``_stdout_writes``, so a reader that closes early
 (``| head``) ends the output quietly and the command keeps its exit code.
 ``search`` streams with every algo: it reads its input in chunks and
-prints each scan's positions as the scan ends, so its memory holds one
-read chunk, one block, one scan's positions and one ``PRINT_BATCH`` of
-output, whatever the input size; ``--format jsonl`` keeps the positions
-in a temporary file until the end. ``verify`` writes each algorithm's
+prints each scan's positions as the scan ends, piece by piece as
+``gsm_scans`` hands them on, so its memory holds one read chunk, one
+block, one scan's positions and one ``PRINT_BATCH`` of output, whatever
+the input size; ``--format jsonl`` keeps the pieces in a temporary file,
+one record each, until the end. ``verify`` writes each algorithm's
 records to a temporary file as they are found, so its memory does not
 grow with their number.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import marshal
 import os
 import re
 import sys
@@ -338,28 +340,15 @@ def _jsonl_thousand(head: str, tail: str) -> list[str]:
     return parts
 
 
-def _run_thousands(pos: Sequence[int], i: int, j: int) -> tuple[int, int] | None:
-    """The whole thousands ``a .. b - 1`` of ``pos[i:j]``, or None.
-
-    None unless ``pos[i:j]`` is a run of consecutive positions (one
-    comparison, see ``_print_report``) that passes a multiple of 1000
-    (``b > pos[i]``); ``a == b`` when it holds no whole thousand.
-    """
-    lo, hi = pos[i], pos[j - 1]
-    b = (hi + 1) // 1000 * 1000
-    if hi - lo == j - 1 - i and b > lo:
-        return max(-(-lo // 1000), 1) * 1000, b
-    return None
-
-
 def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, text_len=0) -> None:
     """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at most per write.
 
     ``pos`` holds checked positions: a ``MatchReport``'s tuple or range
     for text, any sequence of ints for jsonl, whose lines also carry
     ``algorithm``, ``pattern_len`` and ``text_len``. A range, the
-    positions of a scan where every window matches, is read by index and
-    slice like a tuple, with no per-position copy before the formatting.
+    positions of a block where every window matches, is read by index
+    and slice like a tuple, with no per-position copy before the
+    formatting.
 
     A batch is formatted in one go and handed to one ``write``. The bytes
     equal a ``print`` per position, or a ``json.dumps(..., sort_keys=True)``
@@ -379,9 +368,8 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
     with the keys in sorted order. The test for a run is one comparison,
     ``pos[j - 1] - pos[i] == j - i - 1``, which is exact because the
     positions are checked and strictly increase: n of them span n
-    values only when none is skipped (``_run_thousands``). A run that
-    goes on past a batch is cut at its last whole thousand, so that the
-    next batch starts one.
+    values only when none is skipped. A run that goes on past a batch is
+    cut at its last whole thousand, so that the next batch starts one.
     """
     write = sys.stdout.write
     if fmt == "jsonl":
@@ -408,11 +396,12 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
     i, end = 0, len(pos)
     while i < end:
         j = min(i + PRINT_BATCH, end)
-        run = _run_thousands(pos, i, j)
-        if run is None:
+        lo, hi = pos[i], pos[j - 1]
+        # the whole thousands of a run, a .. b - 1
+        a, b = max(-(-lo // 1000), 1) * 1000, (hi + 1) // 1000 * 1000
+        if hi - lo != j - 1 - i or b <= lo:
             write(lines(pos[i:j]))
         else:
-            lo, (a, b) = pos[i], run
             if j < end:
                 j = i + b - lo  # the next batch starts a whole thousand
             write("".join([
@@ -471,17 +460,19 @@ def cmd_search(args) -> int:
     """Print the positions of each scan as it ends.
 
     Every algo scans as it reads (``gsm_scans``, with the algo's searcher
-    unless it is gsm). Each scan's positions are checked as a
-    ``MatchReport`` over the symbols read so far, and the first of them
-    must follow the last one checked. The checked positions are printed
-    and dropped before the next scan is asked for, so memory holds one
-    read chunk, one block and its carry, one scan's positions and one
-    ``PRINT_BATCH`` of output. A jsonl line carries the text length,
-    known only at the end, so jsonl writes each checked scan's positions
-    to an unnamed temporary file as ``array('q')`` bytes and at the end
-    prints them back ``PRINT_BATCH`` at a time with that length; a read
-    that ends inside a run is printed up to the run's last whole
-    thousand, and the rest (under 1000 positions) with the next read.
+    unless it is gsm). Each piece of positions it hands on (a ``range``
+    for a GSM block where every window matches, otherwise a list) is
+    checked as a ``MatchReport`` over the symbols read so far, and its
+    first position must follow the last one checked. The checked piece
+    is printed and dropped before the next is asked for, so memory holds
+    one read chunk, one block and its carry, one scan's positions and
+    one ``PRINT_BATCH`` of output. A jsonl line carries the text length,
+    known only at the end, so jsonl writes each checked piece to an
+    unnamed temporary file as one ``marshal`` record, a range as its
+    ``(start, stop)`` and a list as ``array('q')`` bytes, and at the end
+    prints each record back with that length, by one ``_print_report``
+    call; no run is cut between records, so nothing is carried from one
+    to the next.
     ``--pattern`` and ``--text`` are encoded as latin-1 with
     ``surrogateescape``: a byte argv could not decode is matched as itself.
     """
@@ -510,23 +501,19 @@ def cmd_search(args) -> int:
                 last = positions[-1]
                 if spill is None:
                     _print_report(positions, "text")
+                elif isinstance(positions, range):
+                    marshal.dump((positions.start, positions.stop), spill)
                 else:
-                    spill.write(array("q", positions))
-            # dropped before gsm_scans builds the next scan
+                    marshal.dump(array("q", positions).tobytes(), spill)
+            # dropped before gsm_scans hands on the next piece
             del positions
-        if spill is not None and last:
+        if spill is not None:
             end = spill.tell()
             spill.seek(0)
-            batch = array("q")
-            size = PRINT_BATCH * batch.itemsize
-            while data := spill.read(size):
-                batch.frombytes(data)
-                # a run that goes on is printed up to its last whole
-                # thousand; the rest goes with the next read
-                run = None if spill.tell() == end else _run_thousands(batch, 0, len(batch))
-                n = len(batch) if run is None else run[1] - batch[0]
-                _print_report(batch[:n], "jsonl", algo, p, scanned)
-                del batch[:n]
+            while spill.tell() < end:
+                record = marshal.load(spill)
+                pos = range(*record) if isinstance(record, tuple) else array("q", record)
+                _print_report(pos, "jsonl", algo, p, scanned)
     return 0 if last else 1
 
 

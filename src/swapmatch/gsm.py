@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 from binascii import a2b_hex
+from collections import deque
 from itertools import chain, compress
 from typing import Callable, Iterable, Iterator
 
@@ -323,8 +324,8 @@ def _plan(pattern: str | bytes):
 
 def gsm_scans(
     pattern: str | bytes, chunks: Iterable[str | bytes], search: Callable | None = None
-) -> Iterator[tuple[int, list[int]]]:
-    """The one scan loop: yields ``(symbols read, positions)`` per scan.
+) -> Iterator[tuple[int, list[int] | range]]:
+    """The one scan loop: yields ``(symbols read, piece)`` per piece of each scan.
 
     Chunks are gathered until at least ``BLOCK`` new symbols are pending,
     then scanned with the last p - 1 symbols of the scan before (p - 1 +
@@ -332,9 +333,13 @@ def gsm_scans(
     in place of GSM's block scan). So no chunk is cut, and memory stays
     bounded by one block plus that carry plus one chunk, and one scan's
     positions. A scan's positions are those whose window ends in its new
-    symbols, ascending, so each window is reported once, and every later
-    scan's come after them. They are a list, or a ``range`` when the scan
-    is one block of GSM's scan where every window matches (see ``_scan``).
+    symbols, so each window is reported once. They come in ascending
+    pieces, each after the one before and every later scan's after them:
+    one per block with a match of GSM's scan, as ``_scan_chunk`` makes
+    them (a ``range`` for a block where every window matches, whatever
+    the number of blocks in the scan), or one list from ``search``. Each
+    scan yields at least one piece, empty if nothing matches, so the
+    last count read is the text length.
     """
     p = len(pattern)
     if p == 0:
@@ -345,42 +350,43 @@ def gsm_scans(
     join = b"".join if is_bytes else "".join
     read = size = 0
     pending: list = []
-    for chunk in chunks:
-        if is_bytes != isinstance(chunk, bytes):
-            raise TypeError("chunks must match the pattern type")
-        pending.append(chunk)
-        size += len(chunk)
-        if size < BLOCK:
-            continue
+    end = object()  # follows the last chunk
+    for chunk in chain(chunks, [end]):
+        if chunk is not end:
+            if is_bytes != isinstance(chunk, bytes):
+                raise TypeError("chunks must match the pattern type")
+            pending.append(chunk)
+            size += len(chunk)
+            if size < BLOCK:
+                continue
+        elif not size:
+            return
         text = join(pending)
         read += size
         pending = [text[max(0, len(text) - carry):]]
-        # no local keeps the positions: the caller drops them before the next scan
-        yield read, _scan(pattern, table, search, text, read - len(text), len(text) - size)
+        pieces = _scan(pattern, table, search, text, read - len(text), len(text) - size)
         size = 0
-    if size:
-        text = join(pending)
-        read += size
-        yield read, _scan(pattern, table, search, text, read - len(text), len(text) - size)
+        # each piece leaves the deque as it is yielded, so no local keeps
+        # it once the caller has dropped it
+        while pieces:
+            yield read, pieces.popleft()
 
 
-def _scan(pattern, table, search, text, j, carried) -> list[int] | range:
-    """One scan of ``gsm_scans``: the positions of the windows of ``text``
-    that end past its first ``carried`` symbols, ``j`` symbols preceding it.
+def _scan(pattern, table, search, text, j, carried) -> deque:
+    """One scan of ``gsm_scans``: the pieces of positions of the windows
+    of ``text`` that end past its first ``carried`` symbols, ``j`` symbols
+    preceding it, in order; at least one, an empty list if none matches.
 
-    GSM's block scan gives one piece per block with a match. The only
-    piece is returned as it is, so a one-block scan where every window
-    matches (a periodic text read ``BLOCK`` symbols at a time) passes on
-    one ``range``; more pieces are joined into one list in C.
+    GSM's block scan gives one piece per block with a match, as it makes
+    them: a list, or a ``range`` for a block where every window matches
+    (see ``_extend_positions``). ``search`` gives one list.
     """
-    if search is None:
-        out: list = []
-        _scan_chunk(table, j, len(pattern), text, out)
-        if len(out) == 1:
-            return out[0]
-        return list(chain.from_iterable(out))
     p = len(pattern)
-    return [j + k for k in search(pattern, text).positions if k + p - 1 > carried]
+    if search is None:
+        out: deque = deque()
+        _scan_chunk(table, j, p, text, out)
+        return out or deque([[]])
+    return deque([[j + k for k in search(pattern, text).positions if k + p - 1 > carried]])
 
 
 def gsm_search(pattern: str | bytes, text: str | bytes) -> MatchReport:

@@ -109,7 +109,7 @@ class MatchReport(_Record):
     every window fits in the text, and raises ``ValueError`` otherwise.
     A ``range`` with a positive step is kept as it is: it strictly
     increases by construction, so only its first and last are checked,
-    and a scan where every window matches hands it on with no
+    and a block where every window matches hands it on with no
     per-position work (such a report equals one holding the same range,
     not one holding its positions as a tuple). Any other sequence is kept
     as a tuple, and its increase is checked pairwise in one C-level pass

@@ -94,15 +94,12 @@ MUTANTS = (
     Mutant("extract-compress-off-by-one", "gsm.py",
            "piece = list(compress(range(first, first + n),",
            "piece = list(compress(range(first + 1, first + 1 + n),", "conformance"),
-    # gsm._extend_positions and gsm._scan: a block whose every lane is set
-    # is one range, and a scan's only piece is passed on as it is
+    # gsm._extend_positions: a block whose every lane is set is one range
     Mutant("extract-range-one-lane-late", "gsm.py",
            "out.append(range(first, first + n))",
            "out.append(range(first + 1, first + 1 + n))", "conformance"),
     Mutant("extract-range-with-a-lane-unset", "gsm.py",
            "if count == n:", "if count >= n - 1:", "conformance"),
-    Mutant("scan-returns-first-piece-only", "gsm.py",
-           "if len(out) == 1:", "if out:", "conformance"),
     # gsm._mask_triples: the pending-swap row of the plan
     Mutant("swap-row-never", "gsm.py",
            "cols[i + 1] if i + 1 < p and cols[i + 1] != cols[i] else None,", "None,",
@@ -110,7 +107,8 @@ MUTANTS = (
     Mutant("swap-row-kept-between-equal-symbols", "gsm.py",
            " and cols[i + 1] != cols[i] else None,", " else None,", "conformance",
            "between equal symbols B_i is a subset of A_i, and A_i already feeds "
-           "all that B_i feeds"),
+           "all that B_i feeds; test_dfa.py decides it for every text, per ab "
+           "pattern with p <= 10 and abc pattern with p <= 6"),
     # gsm.gsm_scans: the one scan loop behind gsm_search, the stream and the CLI
     Mutant("stream-scans-every-chunk", "gsm.py",
            "if size < BLOCK:", "if size < 1:", "conformance",
@@ -123,6 +121,8 @@ MUTANTS = (
     Mutant("stream-tail-one-short", "gsm.py",
            "carry = p - 1 if search is None", "carry = p - 2 if search is None",
            "conformance"),
+    Mutant("stream-drops-later-pieces-of-a-scan", "gsm.py",
+           "        while pieces:\n", "        if pieces:\n", "conformance"),
     # gsm.gsm_scans with a searcher: the symbols carried before a window,
     # and the windows kept from each scan
     Mutant("search-lead-one-short", "gsm.py",
@@ -228,11 +228,14 @@ MUTANTS = (
            "        out.writerow(header)\n", "", "cli"),
     Mutant("jsonl-position0-one-based", "cli.py",
            '"position0": {k - 1}', '"position0": {k}', "cli"),
+    Mutant("jsonl-spill-range-one-short", "cli.py",
+           "(positions.start, positions.stop)", "(positions.start, positions.stop - 1)",
+           "cli"),
     # cli._print_report: runs of consecutive positions, a thousand lines per join
     Mutant("jsonl-thousand-position0-off-by-one", "cli.py",
            'f"{d - 1:03d}{tail}{head}"', 'f"{d:03d}{tail}{head}"', "cli"),
     Mutant("run-test-accepts-a-gap", "cli.py",
-           "hi - lo == j - 1 - i", "hi - lo <= j - i", "cli"),
+           "hi - lo != j - 1 - i", "hi - lo > j - i", "cli"),
 )
 
 

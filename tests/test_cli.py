@@ -180,7 +180,7 @@ def test_print_report_equals_per_line_reference(algo, fmt, capsys, monkeypatch):
     for positions in _print_report_inputs():
         report = MatchReport(algo, positions, 3, (positions[-1] if positions else 0) + 11)
         # search prints a checked report's tuple as text, and for jsonl
-        # the array('q') batches it reads back from its spill file
+        # the array('q') that a list piece is read back as from its spill file
         pos = report.positions if fmt == "text" else array("q", report.positions)
         writes = []
         with monkeypatch.context() as m:
@@ -204,31 +204,67 @@ def test_search_dense_file_equals_per_line_reference(tmp_path, fmt, capsys):
     _assert_same_output(got, capsys.readouterr().out, fmt)
 
 
-def test_search_dense_text_with_one_gap_equals_per_line_reference(tmp_path, capsys, monkeypatch):
+def _recording_scans(monkeypatch):
+    """Record, in the list returned, ``(symbols read, piece type)`` for each
+    piece that ``gsm_scans`` hands to ``search``."""
+    yielded = []
+    scans = cli.gsm_scans
+
+    def recording(*args):
+        for read, piece in scans(*args):
+            yielded.append((read, type(piece)))
+            yield read, piece
+
+    monkeypatch.setattr(cli, "gsm_scans", recording)
+    return yielded
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_search_dense_text_with_one_gap_equals_per_line_reference(tmp_path, fmt, capsys,
+                                                                   monkeypatch):
     # four scans of one block each over ab-periodic text, but for one "bb"
-    # in the second: that window alone fails "ab", so its scan's positions
-    # are a list and every other scan's a range
+    # in the second: that window alone fails "ab", so its scan's piece is
+    # a list and every other scan's a range; jsonl spills both kinds
     t, k = 3 * gsm.BLOCK + 101, gsm.BLOCK + 1000
     periodic = b"ab" * t
     text = periodic[:k] + periodic[k - 1:t - 1]
     path = tmp_path / "ab.txt"
     path.write_bytes(text)
-    kinds = []
-    scan = gsm._scan
-
-    def recording(*args):
-        positions = scan(*args)
-        kinds.append(type(positions))
-        return positions
-
-    monkeypatch.setattr(gsm, "_scan", recording)
-    assert main(["search", "--file", str(path), "--pattern", "ab"]) == 0
+    yielded = _recording_scans(monkeypatch)
+    assert main(["search", "--file", str(path), "--pattern", "ab", "--format", fmt]) == 0
     got = capsys.readouterr().out
-    assert kinds == [range, list, range, range]
-    report = oracle_search(b"ab", text)
-    assert report.positions == (*range(1, k), *range(k + 1, t))
-    _reference_print_report(report, "text")
+    assert [kind for _, kind in yielded] == [range, list, range, range]
+    positions = oracle_search(b"ab", text).positions
+    assert positions == (*range(1, k), *range(k + 1, t))
+    _reference_print_report(MatchReport("gsm", positions, 2, t), fmt)
     _assert_same_output(got, capsys.readouterr().out, "one gap")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_search_periodic_fasta_passes_each_block_as_a_range(tmp_path, fmt, capsys,
+                                                             monkeypatch):
+    # the header and line ends stripped, a read chunk holds fewer than
+    # BLOCK symbols, so a scan gathers two chunks and spans two blocks:
+    # every window of both matches, and each block's positions arrive as
+    # a range of their own
+    t = 3 * gsm.BLOCK
+    sequence = b"ab" * (t // 2)
+    data = b">periodic\n" + b"".join(sequence[i:i + 60] + b"\n" for i in range(0, t, 60))
+    assert _fasta_reference(data) == sequence
+    path = tmp_path / "ab.fa"
+    path.write_bytes(data)
+    yielded = _recording_scans(monkeypatch)
+    argv = ["search", "--fasta", "--file", str(path), "--pattern", "abab", "--format", fmt]
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    assert {kind for _, kind in yielded} == {range}
+    reads = [read for read, _ in yielded]
+    assert reads[-1] == t
+    assert max(map(reads.count, reads)) == 2
+    positions = oracle_search(b"abab", sequence).positions
+    assert positions == tuple(range(1, t - 2))
+    _reference_print_report(MatchReport("gsm", positions, 4, t), fmt)
+    _assert_same_output(got, capsys.readouterr().out, "periodic fasta")
 
 
 def test_thousand_tables_built_on_first_use(tmp_path):

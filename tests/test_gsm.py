@@ -361,8 +361,8 @@ def test_stream_bytes_chunks():
 
 @pytest.mark.parametrize("search", [None, oracle_search], ids=["gsm", "oracle"])
 def test_scans_keep_no_positions_while_suspended(search):
-    # a caller that drops each scan's positions before asking for the next
-    # holds one scan's positions at a time only if gsm_scans keeps none
+    # a caller that drops each piece of positions before asking for the
+    # next holds one piece at a time only if gsm_scans keeps none it yielded
     scans = gsm_scans("ab", ["ab" * BLOCK] * 3, search)
     for _, out in scans:
         assert out

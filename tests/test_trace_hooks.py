@@ -14,7 +14,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from swapmatch.cli import PRINT_BATCH, main
+from swapmatch.cli import main
 from swapmatch.gsm import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,13 +80,14 @@ def test_search_jsonl_records_one_report_per_scan(tmp_path):
     )
     assert run["code"] == 0
     values = run["values"]
-    # each of the four scans is checked once as it is spilled; the
-    # positions read back from the spill file are printed unchecked
+    # each of the four scans is one piece, a range, checked once as it is
+    # spilled; each spilled piece is read back and printed, unchecked, by
+    # one call
     assert len([s for s in run["spans"] if s[0] == "gsm.scan"]) == 4
     assert values["report.calls"] == 4
     assert values["report.positions"] == t - 3
     prints = [s for s in run["spans"] if s[0] == "cli.print"]
-    assert len(prints) == -(-(t - 3) // PRINT_BATCH)
+    assert len(prints) == 4
     assert values["cli.output_bytes"] > 0
 
 
