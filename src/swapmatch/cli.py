@@ -17,11 +17,11 @@ writes to stdout inside ``_stdout_writes``, so a reader that closes early
 ``search`` streams with every algo: it reads its input in chunks and
 prints each scan's positions as the scan ends, piece by piece as
 ``gsm_scans`` hands them on, so its memory holds one read chunk, one
-block, one scan's positions and one ``PRINT_BATCH`` of output, whatever
-the input size; ``--format jsonl`` keeps the pieces in a temporary file,
-one record each, until the end. ``verify`` writes each algorithm's
-records to a temporary file as they are found, so its memory does not
-grow with their number.
+block, one scan's positions, one write of at most about 64 KiB and one
+slab of a thousand lines, whatever the input size; ``--format jsonl``
+keeps the pieces in a temporary file, one record each, until the end.
+``verify`` writes each algorithm's records to a temporary file as they
+are found, so its memory does not grow with their number.
 """
 
 from __future__ import annotations
@@ -70,8 +70,13 @@ MAX_BENCH_T = 100_000_000
 # machine word size for the words column of bench records
 WORD_BITS = 64
 
-# positions formatted and written per stdout write in search
+# text lines formatted and written per stdout write in search, and 8
+# times fewer jsonl lines: about 64 KiB per write at most either way
 PRINT_BATCH = 4096
+
+# a shorter run of positions is formatted line by line: sparse output
+# builds no slab
+_SLAB_RUN = 64
 
 # bytes read per chunk by search: one GSM block
 READ_CHUNK = BLOCK
@@ -320,28 +325,30 @@ def _strip_fasta_headers(
     return b"".join(parts), keep == len(chunk), chunk[-1] in b"\r\n"
 
 
-@lru_cache(maxsize=1)
-def _text_thousand() -> list[str]:
-    """The parts whose join with ``str(h)`` is the text lines h000 .. h999."""
-    return ["", *(f"{d:03d}\n" for d in range(1000))]
+@lru_cache(maxsize=2)
+def _slab(n: int, head: str, tail: str) -> list:
+    """``[digits of h, lines, line length, digit spots]`` for some h of ``n`` digits.
 
-
-@lru_cache(maxsize=1)
-def _jsonl_thousand(head: str, tail: str) -> list[str]:
-    """The parts whose join with ``str(h)`` is the jsonl lines h001 .. h999.
-
-    ``position`` and ``position0`` of these lines share the digits of h;
-    the h000 line does not (its ``position0`` is (h-1)999).
+    The lines h000 .. h999 are one ``bytearray``, which ``_print_report``
+    moves to another h in place. Text lines are k and a line end; jsonl
+    lines (with a ``tail``) are ``head``, k, the ``position0`` key, k - 1
+    and ``tail``, with the digits of h at two spots. Line h000 is never written: its
+    ``position0`` is (h-1)999, and here it reads h-01, so that every line
+    has one length.
     """
-    parts = [head]
-    for d in range(1, 1000):
-        parts += [f'{d:03d}, "position0": ', f"{d - 1:03d}{tail}{head}"]
-    parts[-1] = f"998{tail}"
-    return parts
+    h = 10 ** (n - 1)
+    if tail:
+        lines = [f'{head}{h}{d:03d}, "position0": {h}{d - 1:03d}{tail}' for d in range(1000)]
+        spots = (len(head), len(head) + n + 18)
+    else:
+        lines = [f"{h}{d:03d}\n" for d in range(1000)]
+        spots = (0,)
+    buf = bytearray("".join(lines).encode())
+    return [str(h).encode(), buf, len(buf) // 1000, spots]
 
 
 def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, text_len=0) -> None:
-    """Write one line per position to ``sys.stdout``, ``PRINT_BATCH`` at most per write.
+    """Write one line per position to ``sys.stdout``, at most about 64 KiB per write.
 
     ``pos`` holds checked positions: a ``MatchReport``'s tuple or range
     for text, any sequence of ints for jsonl, whose lines also carry
@@ -350,31 +357,26 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
     and slice like a tuple, with no per-position copy before the
     formatting.
 
-    A batch is formatted in one go and handed to one ``write``. The bytes
-    equal a ``print`` per position, or a ``json.dumps(..., sort_keys=True)``
-    per position for jsonl. The batch is bounded so that a text where
-    every window matches never holds its whole output as one string:
-    that would be one ``str`` per position, tens of MB for a few hundred
-    thousand positions.
-
-    A batch that is a run of consecutive positions (every window of a
-    periodic text matches) is written a thousand lines per ``str.join``:
-    the lines h000 .. h999 are ``str(h)`` joined between fixed parts,
-    built on first use (``_text_thousand``, ``_jsonl_thousand``).
-    Positions below 1000, the ends of a run that are not a whole thousand
-    and, for jsonl, each h000 line are formatted one by one, as is every
-    batch that is not a run: ``"%d\n" * n % chunk`` for text, and for
-    jsonl one f-string per line around a head and a tail built once,
-    with the keys in sorted order. The test for a run is one comparison,
-    ``pos[j - 1] - pos[i] == j - i - 1``, which is exact because the
-    positions are checked and strictly increase: n of them span n
-    values only when none is skipped. A run that goes on past a batch is
-    cut at its last whole thousand, so that the next batch starts one.
+    A batch of ``PRINT_BATCH`` text lines or ``PRINT_BATCH // 8`` jsonl
+    lines, about 64 KiB either way, is formatted in one go and handed to
+    one ``write``; its bytes equal a ``print`` per position, or a
+    ``json.dumps(..., sort_keys=True)`` per position for jsonl. So the
+    whole output is never one string, and each write's string reuses
+    freed memory instead of fresh pages. A batch that is a run of
+    consecutive positions (every window of a periodic text matches) is
+    cut from ``_slab``, one slice per thousand it touches, after one
+    strided slice assignment per digit of h that changed. Positions
+    below 1000, each jsonl h000 line, and a batch that is not a run or
+    is shorter than ``_SLAB_RUN`` are formatted one by one. The test for
+    a run is one comparison, exact because the positions are checked and
+    strictly increase: n of them span n values only when none is skipped.
     """
     write = sys.stdout.write
+    batch, head, tail = PRINT_BATCH, "", ""
     if fmt == "jsonl":
         import json  # here, not at the top: the text format pays for none of it
 
+        batch //= 8
         head = (
             f'{{"algorithm": {json.dumps(algorithm)}, '
             f'"pattern_len": {pattern_len}, "position": '
@@ -383,32 +385,34 @@ def _print_report(pos: Sequence[int], fmt: str, algorithm="", pattern_len=0, tex
 
         def lines(ks: Iterable[int]) -> str:
             return "".join([f'{head}{k}, "position0": {k - 1}{tail}' for k in ks])
-
-        def thousand(h: int) -> str:
-            return lines((h * 1000,)) + str(h).join(_jsonl_thousand(head, tail))
     else:
         def lines(ks: Sequence[int]) -> str:
             return "%d\n" * len(ks) % tuple(ks)
 
-        def thousand(h: int) -> str:
-            return str(h).join(_text_thousand())
-
     i, end = 0, len(pos)
     while i < end:
-        j = min(i + PRINT_BATCH, end)
+        j = min(i + batch, end)
         lo, hi = pos[i], pos[j - 1]
-        # the whole thousands of a run, a .. b - 1
-        a, b = max(-(-lo // 1000), 1) * 1000, (hi + 1) // 1000 * 1000
-        if hi - lo != j - 1 - i or b <= lo:
+        if hi - lo != j - 1 - i or j - i < _SLAB_RUN or hi < 1000:
             write(lines(pos[i:j]))
-        else:
-            if j < end:
-                j = i + b - lo  # the next batch starts a whole thousand
-            write("".join([
-                lines(range(lo, a)),
-                *[thousand(h) for h in range(a // 1000, b // 1000)],
-                lines(range(b, pos[j - 1] + 1)),
-            ]))
+            i = j
+            continue
+        parts = [lines(range(lo, 1000))] if lo < 1000 else []
+        for h in range(max(lo // 1000, 1), hi // 1000 + 1):
+            d0, d1 = max(lo - h * 1000, 0), min(hi - h * 1000 + 1, 1000)
+            if tail and not d0:  # jsonl h000: its position0 is (h-1)999
+                parts.append(lines((h * 1000,)))
+                d0 = 1
+            digits = str(h).encode()
+            slab = _slab(len(digits), head, tail)
+            old, buf, size, spots = slab
+            for k, c in enumerate(digits):
+                if c != old[k]:
+                    for spot in spots:
+                        buf[spot + k::size] = digits[k:k + 1] * 1000
+            slab[0] = digits
+            parts.append(buf[d0 * size:d1 * size].decode())
+        write("".join(parts))
         i = j
 
 
@@ -465,14 +469,14 @@ def cmd_search(args) -> int:
     checked as a ``MatchReport`` over the symbols read so far, and its
     first position must follow the last one checked. The checked piece
     is printed and dropped before the next is asked for, so memory holds
-    one read chunk, one block and its carry, one scan's positions and
-    one ``PRINT_BATCH`` of output. A jsonl line carries the text length,
+    one read chunk, one block and its carry, one scan's positions, one
+    write of at most about 64 KiB and ``_print_report``'s slab of a
+    thousand lines. A jsonl line carries the text length,
     known only at the end, so jsonl writes each checked piece to an
     unnamed temporary file as one ``marshal`` record, a range as its
     ``(start, stop)`` and a list as ``array('q')`` bytes, and at the end
     prints each record back with that length, by one ``_print_report``
-    call; no run is cut between records, so nothing is carried from one
-    to the next.
+    call.
     ``--pattern`` and ``--text`` are encoded as latin-1 with
     ``surrogateescape``: a byte argv could not decode is matched as itself.
     """
@@ -698,68 +702,89 @@ def _at_least_one(value: str) -> int:
     return n
 
 
+def _search_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algo", default="gsm", choices=sorted(SEARCHERS))
+    p.add_argument("--pattern", required=True)
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--text", help="text given inline (latin-1)")
+    src.add_argument("--file", help="read text bytes from a file")
+    p.add_argument("--format", default="text", choices=["text", "jsonl"])
+    p.add_argument("--fasta", action="store_true", help="drop FASTA headers and newlines")
+    p.add_argument("--strip-newlines", action="store_true", help="drop newline bytes")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "random"])
+    p.add_argument("--algos", default="gsm")
+    p.add_argument("--sigma", default="ab", help="alphabet as a string of symbols")
+    p.add_argument("--p-min", type=int, default=1)
+    p.add_argument("--p-max", type=int, default=4)
+    p.add_argument("--t-min", type=int, default=1)
+    p.add_argument("--t-max", type=int, default=6)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--fixture-out", help="write discrepancies to this file")
+
+
+def _dfa_growth_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
+
+
+def _dfa_states_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pattern", required=True)
+    p.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
+
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algos", default="gsm")
+    p.add_argument("--p-list", default="32,64")
+    p.add_argument("--t", type=int, default=1_000_000)
+    p.add_argument("--sigma", type=int, default=4)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--reps", type=int, default=5)
+
+
+# name: (help, argument adder, function), in the order --help lists them
+_COMMANDS = {
+    "search": ("find swap matches of a pattern", _search_arguments, cmd_search),
+    "verify": ("cross-check algorithms against the oracle", _verify_arguments, cmd_verify),
+    "flaw-demo": ("show the worked SMALGO-I false positive", lambda p: None, cmd_flaw_demo),
+    "dfa-growth": ("DFA state growth for the blowup family", _dfa_growth_arguments,
+                   cmd_dfa_growth),
+    "dfa-states": ("automaton sizes for one pattern", _dfa_states_arguments, cmd_dfa_states),
+    "bench": ("seeded throughput benchmark (CSV)", _bench_arguments, cmd_bench),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as ``swapmatch --help`` shows them."""
     parser = argparse.ArgumentParser(
         prog="swapmatch",
         description="Swap pattern matching toolkit: search, cross-verify, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_search = sub.add_parser("search", help="find swap matches of a pattern")
-    p_search.add_argument("--algo", default="gsm", choices=sorted(SEARCHERS))
-    p_search.add_argument("--pattern", required=True)
-    src = p_search.add_mutually_exclusive_group()
-    src.add_argument("--text", help="text given inline (latin-1)")
-    src.add_argument("--file", help="read text bytes from a file")
-    p_search.add_argument("--format", default="text", choices=["text", "jsonl"])
-    p_search.add_argument(
-        "--fasta", action="store_true", help="drop FASTA headers and newlines"
-    )
-    p_search.add_argument(
-        "--strip-newlines", action="store_true", help="drop newline bytes"
-    )
-    p_search.set_defaults(fn=cmd_search)
-
-    p_verify = sub.add_parser("verify", help="cross-check algorithms against the oracle")
-    p_verify.add_argument("--mode", default="exhaustive", choices=["exhaustive", "random"])
-    p_verify.add_argument("--algos", default="gsm")
-    p_verify.add_argument("--sigma", default="ab", help="alphabet as a string of symbols")
-    p_verify.add_argument("--p-min", type=int, default=1)
-    p_verify.add_argument("--p-max", type=int, default=4)
-    p_verify.add_argument("--t-min", type=int, default=1)
-    p_verify.add_argument("--t-max", type=int, default=6)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--fixture-out", help="write discrepancies to this file")
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_flaw = sub.add_parser("flaw-demo", help="show the worked SMALGO-I false positive")
-    p_flaw.set_defaults(fn=cmd_flaw_demo)
-
-    p_growth = sub.add_parser("dfa-growth", help="DFA state growth for the blowup family")
-    p_growth.add_argument("--k-max", type=int, default=6)
-    p_growth.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
-    p_growth.set_defaults(fn=cmd_dfa_growth)
-
-    p_states = sub.add_parser("dfa-states", help="automaton sizes for one pattern")
-    p_states.add_argument("--pattern", required=True)
-    p_states.add_argument("--state-cap", type=_at_least_one, default=DEFAULT_STATE_CAP)
-    p_states.set_defaults(fn=cmd_dfa_states)
-
-    p_bench = sub.add_parser("bench", help="seeded throughput benchmark (CSV)")
-    p_bench.add_argument("--algos", default="gsm")
-    p_bench.add_argument("--p-list", default="32,64")
-    p_bench.add_argument("--t", type=int, default=1_000_000)
-    p_bench.add_argument("--sigma", type=int, default=4)
-    p_bench.add_argument("--seed", type=int, default=42)
-    p_bench.add_argument("--reps", type=int, default=5)
-    p_bench.set_defaults(fn=cmd_bench)
-
+    for name, (text, add_arguments, fn) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        add_arguments(command)
+        command.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command argv names builds its own parser alone, as the full
+    # parser builds it, at about half the cost; arguments it leaves over go
+    # to the full parser, whose error names them under the top-level usage
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments, fn = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"swapmatch {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0], fn=fn))
+        if rest:
+            args = build_parser().parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, ReadError, StateLimitExceeded) as exc:

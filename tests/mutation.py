@@ -231,11 +231,18 @@ MUTANTS = (
     Mutant("jsonl-spill-range-one-short", "cli.py",
            "(positions.start, positions.stop)", "(positions.start, positions.stop - 1)",
            "cli"),
-    # cli._print_report: runs of consecutive positions, a thousand lines per join
+    # cli._print_report: runs of consecutive positions, cut from a slab
     Mutant("jsonl-thousand-position0-off-by-one", "cli.py",
-           'f"{d - 1:03d}{tail}{head}"', 'f"{d:03d}{tail}{head}"', "cli"),
+           '{h}{d - 1:03d}{tail}', '{h}{d:03d}{tail}', "cli"),
     Mutant("run-test-accepts-a-gap", "cli.py",
-           "hi - lo != j - 1 - i", "hi - lo > j - i", "cli"),
+           "if hi - lo != j - 1 - i or", "if hi - lo > j - i or", "cli"),
+    Mutant("slab-rewrites-first-spot-only", "cli.py",
+           "for spot in spots:", "for spot in spots[:1]:", "cli"),
+    Mutant("sparse-output-builds-slabs", "cli.py",
+           "_SLAB_RUN = 64", "_SLAB_RUN = 1", "cli"),
+    # cli.main: the named command's parser alone, leftovers to the full parser
+    Mutant("main-ignores-leftover-arguments", "cli.py",
+           "if rest:", "if False:", "cli"),
 )
 
 

@@ -156,10 +156,11 @@ def _print_report_inputs():
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
         # steps of 7 from 9 cross digit-width boundaries inside a batch
         yield list(range(9, 9 + 7 * n, 7))
-    # runs of consecutive positions, which are written a thousand lines
-    # per join: from 1 (across 999 -> 1000) and longer than two batches,
-    # from either side of a thousand, shorter than a thousand, and across
-    # 99,999 -> 100,000
+    # runs of consecutive positions, which are cut from a slab of a
+    # thousand lines: from 1 (across 999 -> 1000) and longer than two
+    # batches, from either side of a thousand, shorter than a thousand,
+    # and across 99,999 -> 100,000 and 999,999 -> 1,000,000, where h
+    # gains a digit
     yield list(range(1, 2 * b + 3))
     for lo in (998, 999, 1000, 1001, 1002, 9998, 9999, 10_000, 10_001):
         yield list(range(lo, lo + 2100))
@@ -167,6 +168,16 @@ def _print_report_inputs():
     yield list(range(1000, 2000))
     yield list(range(99_990, 100_010))
     yield list(range(98_765, 98_765 + 2 * b + 1))
+    yield list(range(999_000, 1_001_500))
+    # runs that start and end mid-thousand, within one thousand and
+    # across several, and runs just shorter and just longer than the
+    # shortest run cut from a slab
+    yield list(range(5_432, 5_987))
+    yield list(range(12_345, 17_891))
+    yield list(range(123_456_789, 123_456_789 + b + 321))
+    for n in (cli._SLAB_RUN - 1, cli._SLAB_RUN):
+        yield list(range(7_990, 7_990 + n))
+        yield list(range(20_000, 20_000 + b + n))
     # sparse, then a run from the middle of a batch (so that the batch
     # after it starts off a thousand), then sparse again
     yield [3, 70, 900, *range(1234, 1234 + 2 * b + 5), 20_000, 30_001, 30_003]
@@ -187,6 +198,7 @@ def test_print_report_equals_per_line_reference(algo, fmt, capsys, monkeypatch):
             m.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
             _print_report(pos, fmt, algo, report.pattern_len, report.text_len)
         assert max((w.count("\n") for w in writes), default=0) <= PRINT_BATCH
+        assert max((len(w.encode()) for w in writes), default=0) <= 1 << 16
         _reference_print_report(report, fmt)
         _assert_same_output("".join(writes), capsys.readouterr().out, positions[:3])
 
@@ -241,6 +253,26 @@ def test_search_dense_text_with_one_gap_equals_per_line_reference(tmp_path, fmt,
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_search_dense_text_with_five_gaps_equals_per_line_reference(tmp_path, fmt, capsys):
+    # 240 K symbols of ab-periodic text with five doubled symbols: each
+    # gap ends a run mid-thousand and starts the next mid-thousand, in
+    # the list piece of its block, and every piece, range or list, ends
+    # mid-thousand; all those ends are cut from the slab too
+    t = 240_000
+    text = bytearray(b"ab" * (t // 2))
+    for k in (10_001, 47_502, 100_123, 150_000, 233_777):
+        text[k] = text[k - 1]
+    path = tmp_path / "ab.txt"
+    path.write_bytes(text)
+    assert main(["search", "--file", str(path), "--pattern", "ab", "--format", fmt]) == 0
+    got = capsys.readouterr().out
+    positions = oracle_search(b"ab", bytes(text)).positions
+    assert len(positions) == t - 1 - 2 * 5  # each gap fails two windows
+    _reference_print_report(MatchReport("gsm", positions, 2, t), fmt)
+    _assert_same_output(got, capsys.readouterr().out, "five gaps")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
 def test_search_periodic_fasta_passes_each_block_as_a_range(tmp_path, fmt, capsys,
                                                              monkeypatch):
     # the header and line ends stripped, a read chunk holds fewer than
@@ -267,26 +299,29 @@ def test_search_periodic_fasta_passes_each_block_as_a_range(tmp_path, fmt, capsy
     _assert_same_output(got, capsys.readouterr().out, "periodic fasta")
 
 
-def test_thousand_tables_built_on_first_use(tmp_path):
-    # a fresh process: importing the CLI builds neither table (every
-    # command pays for its import), and a dense search in each format
-    # builds its own table once
-    path = tmp_path / "ab.txt"
-    path.write_bytes(b"ab" * 5000)
+def test_slabs_built_on_first_use(tmp_path):
+    # a fresh process: importing the CLI builds no slab (every command
+    # pays for its import), nor does a sparse search, whose matches stand
+    # alone in blocks of their own; a dense search in each format builds
+    # its own slab once (h < 10: one digit count)
+    dense, sparse = tmp_path / "ab.txt", tmp_path / "sparse.txt"
+    dense.write_bytes(b"ab" * 5000)
+    sparse.write_bytes(b"".join(b"c" * 39_999 + b"ab" for _ in range(3)))
     script = (
         "import os, sys\n"
         "import swapmatch.cli as cli\n"
-        "tables = [cli._text_thousand, cli._jsonl_thousand]\n"
-        "print([t.cache_info().misses for t in tables], flush=True)\n"
+        "print(cli._slab.cache_info().misses, flush=True)\n"
         "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
-        "for fmt in ('text', 'jsonl'):\n"
-        "    argv = ['search', '--file', sys.argv[1], '--pattern', 'abab', '--format', fmt]\n"
+        "runs = [(sys.argv[1], 'ab', 'text'), (sys.argv[2], 'abab', 'text'),\n"
+        "        (sys.argv[2], 'abab', 'jsonl')]\n"
+        "for path, pattern, fmt in runs:\n"
+        "    argv = ['search', '--file', path, '--pattern', pattern, '--format', fmt]\n"
         "    assert cli.main(argv) == 0\n"
-        "    print([t.cache_info().misses for t in tables], file=out)\n"
+        "    print(cli._slab.cache_info().misses, file=out)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+    proc = subprocess.run([sys.executable, "-c", script, str(sparse), str(dense), str(dense)],
                           capture_output=True, text=True, timeout=300)
-    assert (proc.stdout, proc.stderr) == ("[0, 0]\n[1, 0]\n[1, 1]\n", "")
+    assert (proc.stdout, proc.stderr) == ("0\n0\n1\n2\n", "")
 
 
 def test_search_jsonl_multi_scan_from_stdin_and_file(tmp_path, capsys):
@@ -1278,3 +1313,67 @@ def test_main_callable_in_process(capsys):
     code = main(["search", "--pattern", "ab", "--text", "ba"])
     assert code == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(stdout, stderr, exit code) of a parse of ``argv`` that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+# arguments that every command takes, so an unrecognized one is all that
+# is wrong
+_VALID = {
+    "search": ["--pattern", "ab", "--text", "ab"],
+    "verify": ["--p-max", "1", "--t-max", "1"],
+    "flaw-demo": [],
+    "dfa-growth": ["--k-max", "1"],
+    "dfa-states": ["--pattern", "ab"],
+    "bench": ["--t", "10", "--p-list", "2", "--reps", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["nosuch"],
+        ["nosuch", "--pattern", "ab"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        *([name, *valid, "--bogus"] for name, valid in _VALID.items()),
+        *([name, "-x", "1", *valid] for name, valid in _VALID.items()),
+        ["search"],
+        ["search", "--text", "ab"],
+        ["dfa-states"],
+        ["search", "--pattern", "ab", "--algo", "nosuch"],
+        ["search", "--pattern", "ab", "--format", "csv"],
+        ["search", "--pattern", "ab", "--text", "ab", "--file", "f"],
+        ["search", "--pattern"],
+        ["verify", "--mode", "nosuch"],
+        ["verify", "--seed", "x"],
+        ["dfa-growth", "--state-cap", "0"],
+        ["dfa-growth", "--state-cap", "x"],
+        ["dfa-states", "--pattern", "ab", "--state-cap", "0"],
+        ["bench", "--reps"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_parses_as_the_full_parser(argv, capsys):
+    # main builds only the named command's parser; help, usage errors and
+    # their exit codes must be the full parser's, byte for byte
+    want = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == want
+    assert want[2] in (0, 2) and want[0] + want[1]
+
+
+def test_main_builds_only_the_named_commands_parser(monkeypatch, capsys):
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    assert main(["dfa-states", "--pattern", "ab"]) == 0
+    assert capsys.readouterr().out.startswith("pattern,")
