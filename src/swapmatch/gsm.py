@@ -18,13 +18,17 @@ its end and reports the windows that start in it, so every window is
 found whole in one block and no signal crosses a block edge; a scan
 likewise keeps only the last p - 1 symbols it read for the next one. A
 block stops as soon as every window in it has died. A block's occurrence
-ints take one translate per pattern symbol, or per four symbols packed
-in hex nibbles when the pattern has more than two. A block still alive
-after a few columns is re-based: its tail, which no live signal can
-reach, is cut off, and the cut block's occurrence ints are built afresh.
-A swap exchanges two unequal symbols, so the scan keeps no pending-swap
-signal at a column whose symbol equals the next one: there it is a
-subset of the unswapped signal and feeds nothing that signal does not.
+ints take one translate per pattern symbol, one bit per text position,
+when the pattern has at most two symbols. Otherwise they take one
+translate per four symbols, one-hot in hex nibbles, and the block's
+window starts are cut into up to four quarters, one per bit of each
+nibble, so that each column's shifts and ANDs run over every bit of the
+lanes. A block still alive after a few columns is re-based: its tail,
+which no live signal can reach, is cut off, and the occurrence ints are
+built afresh over what is left. A swap exchanges two unequal symbols, so
+the scan keeps no pending-swap signal at a column whose symbol equals
+the next one: there it is a subset of the unswapped signal and feeds
+nothing that signal does not.
 ``gsm_step`` and the scan are equivalence-tested against each other and
 against the brute-force oracle. ``gsm_scans`` also runs any other searcher.
 """
@@ -111,20 +115,25 @@ def gsm_accepts(state: GsmState) -> bool:
 BLOCK = 1 << 15
 
 # column at which a live block is re-based: its tail that no signal can
-# reach is cut off and the cut block's ints built afresh. On 2 Mbase random
-# ACGT with planted swapped copies gsm_search time is flat from 12 to 48; at
-# 8, p = 64 takes 40% longer and p = 512 twice as long (live random blocks
-# pay for the re-base), and without a re-base p = 512 takes 70-100% longer.
+# reach is cut off and the occurrence ints built afresh. On 2 Mbase random
+# ACGT with 5 planted swapped copies per pattern (in process, min of 5 runs
+# in each of 5 rounds), gsm_search time at p = 64 and 512 is flat from 16
+# to 48; at 12 they take 7-12% longer and at 8 60-80% longer (live random
+# blocks pay for the re-base), and without a re-base p = 512 takes 27%
+# longer while p = 64 does not change.
 REBASE_COLUMN = 16
 
 # symbols before a window that a searcher run by ``gsm_scans`` may read:
 # SMALGO-II's checkup and checkdown read two back
 LEAD = 2
 
-# bit 0 of each nibble of a block's hex lanes. A block holds BLOCK + p - 1
-# symbols, so a mask of two blocks' lanes serves every p <= BLOCK + 1;
-# ``&`` costs only the shorter operand, so its width costs nothing.
-_LANES = int.from_bytes(b"\x11" * BLOCK, "big")
+
+@functools.lru_cache(maxsize=4)
+def _lane_masks(lanes: int) -> tuple:
+    """Bit 0 of each of ``lanes`` hex lanes, and the same moved up 1 to 6
+    bits: bit s of each lane, or for s >= 4 bit s - 4 of the lane above."""
+    bit0 = int.from_bytes(b"\x11" * ((lanes + 1) // 2), "big")
+    return tuple(bit0 << s for s in range(7))
 
 
 class _ZeroMap(dict):
@@ -136,25 +145,48 @@ class _ZeroMap(dict):
 
 
 class _Occurrences(dict):
-    """Occurrence ints of one block, built on first use: for symbol index k,
-    lane n-1-j (bit w*(n-1-j)) is set when block position j holds that
-    symbol. A re-base cuts the block and builds new ones for the cut block."""
+    """Occurrence ints of one block, built on first use.
 
-    def __init__(self, block, tables, w, lanes):
-        self.block, self.tables, self.w, self.lanes = block, tables, w, lanes
+    The block is read in quarters: quarter q is the n symbols from
+    ``starts[q]`` (fewer where the block ends), and its position j is lane
+    n-1-j. For symbol index k, bit q of that lane (bit w*(n-1-j) + q) is
+    set when quarter q holds symbol k there. With w = 1 a block is one
+    quarter, and one translate per symbol gives the int. With w = 4 one
+    translate per quarter and four symbols, padded with "0" to n digits,
+    and one ``a2b_hex`` give that quarter's four symbols one-hot in its
+    nibbles (see ``_mask_triples``); each quarter's int is kept moved up q
+    bits, and symbol 4g + r's int gathers bit q + r of each
+    (``masks[q + r]``) and moves it down r bits, so bit r of quarter q
+    lands in bit q. A re-base builds new ones from the first n - s
+    symbols of each quarter.
+    """
+
+    def __init__(self, block, tables, w, masks, starts, n):
+        self.block, self.tables, self.w, self.masks = block, tables, w, masks
+        self.starts, self.n = starts, n
         self.groups = {}
+
+    def _quarters(self, table):
+        block, n = self.block, self.n
+        zero = b"0" if isinstance(block, bytes) else "0"
+        moved = []
+        for q, s in enumerate(self.starts):
+            digits = block[s:s + n].translate(table).ljust(n, zero)
+            # a2b_hex reads whole bytes: an odd n takes a leading "0"
+            moved.append(int.from_bytes(a2b_hex(digits.zfill(n + n % 2)), "big") << q)
+        return moved
 
     def __missing__(self, k):
         if self.w == 1:
-            value = int(self.block.translate(self.tables[k]), 2)
+            value = int(self.block[:self.n].translate(self.tables[k]), 2)
         else:
             g, r = divmod(k, 4)
             if g not in self.groups:
-                hexits = self.block.translate(self.tables[g])
-                hexits = hexits.zfill(len(hexits) + len(hexits) % 2)
-                self.groups[g] = int.from_bytes(a2b_hex(hexits), "big")
-            group = self.groups[g]
-            value = (group >> r if r else group) & self.lanes
+                self.groups[g] = self._quarters(self.tables[g])
+            value = 0
+            for q, moved in enumerate(self.groups[g]):
+                value |= moved & self.masks[q + r]
+            value >>= r
         self[k] = value
         return value
 
@@ -172,15 +204,16 @@ def _mask_triples(pattern: str | bytes):
     feeds, S(B_i) & O[pat[i]] in A_{i+1}, A_i feeds already; so B_i is
     left 0, which saves a shift, two ANDs and an OR.
 
-    An occurrence int holds one lane of w bits per block position. With
-    at most two pattern symbols w = 1 and ``block.translate(tables[k])``
-    is a "0"/"1" string, "1" where the block holds symbol k. Otherwise
-    w = 4 and ``tables[g]`` turns symbol 4g + r into the hex digit
-    ``"1248"[r]``: one translate and one ``a2b_hex`` give an int with four
-    occurrence ints packed one-hot in its nibbles, each taken out by
-    ``(x >> r) & lanes``, with bit 0 of each nibble set in ``lanes`` (see
-    ``_LANES``). Any other symbol becomes "0" and matches nothing.
-    Returns ``(plan, tables, w)``.
+    An occurrence int holds one lane of w bits per quarter position. With
+    at most two pattern symbols w = 1, a block is one quarter, and
+    ``block.translate(tables[k])`` is a "0"/"1" string, "1" where the
+    block holds symbol k. Otherwise w = 4 and ``tables[g]`` turns symbol
+    4g + r into the hex digit ``"1248"[r]``: one translate and one
+    ``a2b_hex`` per quarter give an int with four symbols' occurrences
+    one-hot in its nibbles, and ``_Occurrences`` gathers each symbol's
+    bits of up to four quarters into the four bits of its lanes. Any
+    other symbol becomes "0" and matches nothing. Returns
+    ``(plan, tables, w)``.
     """
     symbols = list(dict.fromkeys(pattern))
     index = {x: k for k, x in enumerate(symbols)}
@@ -213,18 +246,19 @@ def _extend_positions(out: list, a: int, first: int, w: int) -> None:
     ``first + k`` for the lane k lanes below its top lane.
 
     Lanes are w bits wide, and each is one digit of ``a`` in binary (w = 1)
-    or hex (w = 4); ``a`` has n = ceil(bit_length / w) of them, its top
-    lane set. A block where every window matches (a periodic text) has
-    all n set, and its piece is ``range(first, first + n)``, built with
-    no per-lane work. The test, ``bit_count() == n``, is exact: n lanes
-    from the top set lane down to lane 0 are all set only when their
-    positions are consecutive, and a set lane holds exactly one set bit.
-    Otherwise the piece is a list. Sparse lanes are found one
+    or hex (w = 4) with at most its bit 0 set; ``a`` has n = ceil(bit_length
+    / w) of them, its top lane set. A quarter where every window matches (a
+    periodic text) has all n set, and its piece is ``range(first, first +
+    n)``, built with no per-lane work. The test, ``bit_count() == n``, is
+    exact: n lanes from the top set lane down to lane 0 are all set only
+    when their positions are consecutive, and a set lane holds exactly one
+    set bit. Otherwise the piece is a list. Sparse lanes are found one
     ``str.find`` call each; dense ones by one C pass of ``compress`` over
     all digits, which is cheaper once at least one lane in 8 is set: over
-    a block of 2^15 lanes a ``find`` call costs about 170-300 ns per set
-    lane and ``compress`` 25-35 ns per lane, set or not (CPython 3.11), so
-    they cross between one set lane in 6 and one in 10.
+    a quarter of 2^13 hex lanes or a block of 2^15 bit lanes a ``find``
+    call costs about 140-260 ns per set lane and ``compress`` 20-33 ns per
+    lane, set or not (CPython 3.11, two runs at densities 1/2 to 1/32), so
+    they cross between one set lane in 6 and one in 12.
     """
     n = (a.bit_length() + w - 1) // w
     count = a.bit_count()
@@ -246,63 +280,83 @@ def _extend_positions(out: list, a: int, first: int, w: int) -> None:
 
 def _scan_chunk(table, j, p, chunk, out):
     """Append to ``out`` the 1-based positions of the windows of ``chunk``
-    that fit in it, one ascending piece per block with a match (a list, or
-    a range when every window of the block matches, see
+    that fit in it, one ascending piece per quarter with a match (a list,
+    or a range when every window of the quarter matches, see
     ``_extend_positions``); ``j`` is the number of text symbols before the
     chunk.
 
     The recurrence runs transposed: bit-parallel over the text positions
-    of a block, one pattern column at a time. Block b holds
-    ``chunk[b*BLOCK : b*BLOCK + BLOCK + p - 1]``, so each window that
-    starts in its first ``BLOCK`` positions lies whole in it; every window
-    is found in the block where it starts, and no signal crosses a block
-    edge. In a block of n symbols, lane n-1-k of an int (w bits from bit
-    w*(n-1-k)) stands for block position k, so the first symbol is the
-    top lane and a translated block reads as it is. With ``O[x]`` the
+    of a block, one pattern column at a time. Block b holds the m <=
+    ``BLOCK`` windows that start in ``chunk[b*BLOCK : b*BLOCK + BLOCK]``
+    and fit in the chunk. Its window starts are cut into quarters of qs =
+    ceil(m / Q) (Q from ``_quarter_count``; 1 with 1-bit lanes), and
+    quarter q reads the n = qs + p - 1 symbols from its first window start
+    to its last window's end, so every window is found whole in the
+    quarter where it starts, and no signal crosses a quarter edge. Lane
+    n-1-k of an int (w bits from bit w*(n-1-k)) stands for position k of
+    every quarter, quarter q in its bit q, so the first symbol is the top
+    lane and a translated quarter reads as it is. With ``O[x]`` the
     occurrence int of symbol x and ``S`` the shift to the next position
-    (one lane down), column i takes
+    (one lane down, in every quarter at once), column i takes
 
         A_i = S(A_{i-1}) & O[pat[i]] | S(B_{i-1}) & O[pat[i-1]]
         B_i = S(A_{i-1}) & O[pat[i+1]]
 
     where A is the ru|rm signal and B the rd signal (A_0 = O[pat[0]],
     B_0 = O[pat[1]]), and B_i is 0 where pat[i] == pat[i+1] (see
-    ``_mask_triples``); each set lane of A_{p-1} is a match ending at its
-    position. A block costs one C pass of ``translate`` per pattern symbol
-    (w = 1) or per four of them (w = 4, see ``_mask_triples``), plus a few
-    big-int operations per column over the lanes up to the top live one.
-    A block stops early once A_i and B_i are 0; on random text that is
-    after a handful of columns whatever p is. A block still alive at
+    ``_mask_triples``); each set bit of A_{p-1} is a match ending at its
+    lane's position in its quarter. A block costs one C pass of
+    ``translate`` per pattern symbol (w = 1) or per quarter and four
+    symbols (w = 4, see ``_Occurrences``), plus a few big-int operations
+    per column over the lanes up to the top live one; packing the
+    quarters into the bits of each lane makes those lanes a quarter as
+    many. A block stops early once A_i and B_i are 0; on random text that
+    is after a handful of columns whatever p is. A block still alive at
     ``REBASE_COLUMN`` is re-based: signals move one lane down per column,
-    so the last s symbols of the block, more than p - i lanes below the
-    lowest live one, cannot reach a match. They are cut off and the cut
-    block's occurrence ints built afresh: lane n-1-k-s of the old block is
-    lane n-s-1-k of the cut one, so they line up with ``a`` and ``b``
-    shifted down s lanes, and a column then costs the live span, not the
-    whole block. ``gsm_step`` is the literal 13-op per-symbol reference.
+    so the last s lanes, more than p - i below the lowest live one of any
+    quarter, cannot reach a match (nor can a window that starts past its
+    quarter's last window start, which is dropped there first). They are
+    cut off and the occurrence ints built afresh over the first n - s
+    symbols of each quarter: lane n-1-k-s of the old ints is lane n-s-1-k
+    of the new ones, so they line up with ``a`` and ``b`` shifted down s
+    lanes, and a column then costs the live span, not the whole block.
+    Positions are taken quarter by quarter, bit q of each lane for
+    quarter q.
+    ``gsm_step`` is the literal 13-op per-symbol reference.
     """
     plan, tables, w = table
-    lanes = _LANES
-    if p > BLOCK + 1:  # a block holds more lanes than _LANES covers
-        lanes = int.from_bytes(b"\x11" * ((BLOCK + p) // 2), "big")
+    quarters = 1 if w == 1 else _quarter_count(p)
+    # a quarter has at most ceil(BLOCK / quarters) + p - 1 lanes
+    masks = _lane_masks(-(-BLOCK // quarters) + p - 1) if w == 4 else None
     cur0, _, nxt0 = plan[0]
-    for start in range(0, len(chunk) - p + 1, BLOCK):
+    windows = len(chunk) - p + 1
+    for start in range(0, windows, BLOCK):
+        m = min(BLOCK, windows - start)
+        qs = -(-m // quarters)
+        starts = range(0, m, qs)
+        n = qs + p - 1
         block = chunk[start:start + BLOCK + p - 1]
-        occ = _Occurrences(block, tables, w, lanes)
+        occ = _Occurrences(block, tables, w, masks, starts, n)
         a = occ[cur0]
         b = 0 if nxt0 is None else occ[nxt0]
         for i in range(1, p):
             if not (a or b):
                 break  # a is 0: no match in this block
             if i == REBASE_COLUMN:
+                # a window that starts past its quarter's last window start
+                # runs out of the quarter's symbols before column p - 1; by
+                # now it sits below lane p - 1 - i, where it would keep the
+                # cut small, so it is dropped
+                keep = -1 << w * (p - 1 - i)
+                a, b = a & keep, b & keep
                 # the lowest live lane lo ends at lo - (p - i) by column
-                # p - 1; the last s symbols lie below that and are cut off
+                # p - 1; the last s lanes lie below that and are cut off
                 ab = a | b
                 s = max(0, ((ab & -ab).bit_length() - 1) // w - (p - i))
                 if s:
                     a, b = a >> w * s, b >> w * s
-                    block = block[:len(block) - s]
-                    occ = _Occurrences(block, tables, w, lanes)
+                    n -= s
+                    occ = _Occurrences(block, tables, w, masks, starts, n)
             cur, prev, nxt = plan[i]
             sa = a >> w
             sb = b >> w
@@ -311,8 +365,18 @@ def _scan_chunk(table, j, p, chunk, out):
                 a |= sb & occ[prev]
             b = sa & occ[nxt] if sa and nxt is not None else 0
         if a:
-            first = j + start + len(block) + 2 - p - (a.bit_length() + w - 1) // w
-            _extend_positions(out, a, first, w)
+            for q, s in enumerate(starts):
+                x = (a >> q) & masks[0] if quarters > 1 else a
+                if x:
+                    first = j + start + s + n + 2 - p - (x.bit_length() + w - 1) // w
+                    _extend_positions(out, x, first, w)
+
+
+def _quarter_count(p: int) -> int:
+    """Quarters of a block with hex lanes: 4, or fewer once the p - 1
+    symbols that each quarter reads past its last window start outweigh
+    its BLOCK / Q window starts."""
+    return max(1, min(4, BLOCK // p))
 
 
 @functools.lru_cache(maxsize=1)

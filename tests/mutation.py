@@ -73,17 +73,30 @@ MUTANTS = (
            "cutting one symbol less keeps one symbol that no signal reaches"),
     Mutant("rebase-one-lane-too-far", "gsm.py",
            "// w - (p - i))", "// w - (p - i) + 1)", "conformance"),
-    Mutant("rebase-block-not-cut", "gsm.py",
-           "block = block[:len(block) - s]", "block = block", "conformance"),
+    Mutant("rebase-lanes-not-cut", "gsm.py",
+           "                    n -= s\n", "", "conformance"),
     Mutant("rebase-keeps-uncut-occurrences", "gsm.py",
-           "                    occ = _Occurrences(block, tables, w, lanes)",
+           "                    occ = _Occurrences(block, tables, w, masks, starts, n)",
            "                    pass", "conformance"),
-    # gsm: occurrence ints and position extraction
-    Mutant("nibble-select-off-by-one", "gsm.py",
-           "(group >> r if r else group) & self.lanes", "(group >> (r + 1)) & self.lanes",
+    # gsm: quarters of a block, their occurrence ints and position extraction
+    Mutant("quarter-reads-past-its-last-window-start", "gsm.py",
+           "        n = qs + p - 1\n", "        n = qs + p\n", "conformance"),
+    Mutant("quarter-offset-off-by-one", "gsm.py",
+           "starts = range(0, m, qs)", "starts = [0, *range(qs + 1, m, qs)]", "conformance"),
+    Mutant("quarter-bits-reversed-in-extraction", "gsm.py",
+           "x = (a >> q) & masks[0]", "x = (a >> (len(starts) - 1 - q)) & masks[0]",
            "conformance"),
+    Mutant("rebase-keeps-windows-past-the-last-start", "gsm.py",
+           "keep = -1 << w * (p - 1 - i)", "keep = -1", "conformance",
+           "a window that starts past its quarter's last window start runs out of "
+           "the quarter's symbols before column p - 1; dropping it only lets the "
+           "cut go further"),
+    Mutant("nibble-select-off-by-one", "gsm.py",
+           "moved & self.masks[q + r]", "moved & self.masks[q + r - 1]", "conformance"),
+    Mutant("nibble-gather-moved-one-too-far", "gsm.py",
+           "value >>= r", "value >>= r + 1", "conformance"),
     Mutant("nibble-mask-one-byte-short", "gsm.py",
-           'b"\\x11" * ((BLOCK + p) // 2)', 'b"\\x11" * ((BLOCK + p) // 2 - 1)',
+           'b"\\x11" * ((lanes + 1) // 2)', 'b"\\x11" * ((lanes + 1) // 2 - 1)',
            "conformance"),
     Mutant("extract-always-by-find", "gsm.py",
            "if count * 8 < n:", "if True:", "conformance",

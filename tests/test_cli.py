@@ -273,6 +273,29 @@ def test_search_dense_text_with_five_gaps_equals_per_line_reference(tmp_path, fm
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("p", [9, 513])
+def test_search_periodic_abc_file_equals_per_line_reference(tmp_path, fmt, p, capsys):
+    # bacbac... swap-matches two windows in three of abc-periodic text, at
+    # 1, 2, 4, 5, ...: the most a pattern of three symbols can, as a
+    # window's first symbol must be the pattern's first or second. It
+    # takes hex lanes, so each quarter of a block is one dense list piece.
+    t = 3 * gsm.BLOCK + 101
+    text = (b"abc" * t)[:t]
+    pattern = b"bac" * (p // 3)
+    path = tmp_path / "abc.txt"
+    path.write_bytes(text)
+    assert main(["search", "--file", str(path), "--pattern", pattern.decode(),
+                 "--format", fmt]) == 0
+    got = capsys.readouterr().out
+    positions = [k for k in range(1, t - p + 2) if k % 3]
+    assert oracle_search(pattern, text[:2000]).positions == tuple(
+        k for k in positions if k <= 2001 - p
+    )
+    _reference_print_report(MatchReport("gsm", positions, p, t), fmt)
+    _assert_same_output(got, capsys.readouterr().out, "periodic abc")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
 def test_search_periodic_fasta_passes_each_block_as_a_range(tmp_path, fmt, capsys,
                                                              monkeypatch):
     # the header and line ends stripped, a read chunk holds fewer than

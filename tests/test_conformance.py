@@ -9,7 +9,10 @@ flawed SMALGO engines are not here; fixtures pin them instead.
 The engines that scan in blocks of ``BLOCK`` symbols (``BLOCK_ENGINES``)
 also run on texts of two blocks and more, with swapped copies planted
 across every block edge and where a block gets re-based, with a pattern
-longer than a block, and with a run of matches at consecutive positions.
+longer than a block, and with a run of matches at consecutive positions;
+and, for patterns that take hex lanes, with copies across and on every
+edge between the quarters a block is scanned in, and last blocks of every
+window count modulo 4.
 The stream engine cuts its input at every block edge and a few random
 places. ``bma``, ``dfa`` and ``gsm_step`` are left out there: they cost
 O(t·p) per instance, and the DFA of a p = 512 pattern is too large to
@@ -17,9 +20,11 @@ build.
 
 The block scan also runs with ``BLOCK`` and ``REBASE_COLUMN`` shrunk to
 1, 2 and 3, over every small instance, so that block edges and re-bases
-meet every window, and with ``BLOCK`` at 24 over texts with few matches,
-so that position extraction takes its sparse route; there the truth is
-read off the enumerated swapped versions, so it does not rest on any scan.
+meet every window, with four quarters per block at ``BLOCK`` 2, 3 and 5
+over small ``abc`` instances, and with ``BLOCK`` at 24 over texts with
+few matches, so that position extraction takes its sparse route; there
+the truth is read off the enumerated swapped versions, so it does not
+rest on any scan.
 
 ``gsm_scans`` runs every other searcher, the SMALGO engines too, scan by
 scan for ``search``. Over every small ``ab`` and ``abc`` instance cut at
@@ -206,9 +211,76 @@ def _long_text(pattern: str, sigma: str, seed: int) -> tuple[str, list[int]]:
     return _plant(pattern, sigma, 3 * BLOCK + 700, starts, seed), starts
 
 
+# -- quarters of a block ---------------------------------------------------------
+# With hex lanes a block's window starts are cut into up to four quarters,
+# each reading p - 1 symbols past its last window start; the last two
+# pattern lengths sit on either side of the length past which a block
+# takes fewer quarters. Each text has two blocks and a last one of
+# LAST_WINDOWS windows: 1000 to 1003, every window count modulo 4, or 1
+# to 3, fewer quarters than four of one window each.
+QUARTER_PATTERN_LENGTHS = (3, 5, 8, 64, 512, BLOCK // 4, BLOCK // 4 + 1)
+LAST_WINDOWS = (1000, 1001, 1002, 1003, 1, 2, 3)
+
+# (pattern symbols, text symbols, as bytes): four symbols take one group
+# of hex lanes, five non-ASCII ones two
+QUARTER_ALPHABETS = (
+    ("ACGT", "ACGT", True),
+    ("a\u00e9\u03b2\u20ac\U0001d11e", "a\u00e9\u03b2\u20ac\U0001d11e", False),
+)
+
+
+def _quarter_edges(t: int, p: int) -> list[int]:
+    """Where each quarter starts in a text of t symbols."""
+    windows = t - p + 1
+    edges = []
+    for start in range(0, windows, BLOCK):
+        m = min(BLOCK, windows - start)
+        edges += range(start, start + m, -(-m // gsm._quarter_count(p)))
+    return edges
+
+
+def _quarter_text(pattern: str, sigma: str, last: int, seed: int) -> tuple[str, list[int]]:
+    """Random text of two blocks and a last one of ``last`` windows, with
+    swapped copies of the pattern that start, at each quarter edge in
+    turn, about p // 2 before it and after it, one symbol before it, or
+    on it, as far as they fit apart, and one on the last window. Returns
+    the text and the copies' starts."""
+    p = len(pattern)
+    t = 2 * BLOCK + last + p - 1
+    starts = []
+    for e, edge in enumerate(_quarter_edges(t, p)):
+        near = ((-(p // 2), (p + 1) // 2), (-1,), (0,))[e % 3]
+        for start in (edge + d for d in near):
+            if start >= (starts[-1] + p if starts else 0) and start + p <= t:
+                starts.append(start)
+    if starts[-1] + p <= t - p:
+        starts.append(t - p)
+    return _plant(pattern, sigma, t, starts, seed), starts
+
+
+@functools.cache
+def _quarter_cases():
+    """(pattern, text, planted 1-based starts) for every quarter instance."""
+    out = []
+    for a, (pattern_sigma, text_sigma, as_bytes) in enumerate(QUARTER_ALPHABETS):
+        rng = random.Random(a)
+        for i, p in enumerate(QUARTER_PATTERN_LENGTHS):
+            pattern = ""
+            while len(set(pattern)) < 3:  # hex lanes
+                pattern = "".join(rng.choice(pattern_sigma) for _ in range(p))
+            last = LAST_WINDOWS[(i + 3 * a) % len(LAST_WINDOWS)]
+            text, starts = _quarter_text(pattern, text_sigma, last, seed=p)
+            ones = [start + 1 for start in starts]
+            if as_bytes:
+                pattern, text = pattern.encode(), text.encode()
+            out.append((pattern, text, ones))
+    return out
+
+
 @functools.cache
 def _block_cases():
-    """(pattern, text, planted 1-based starts) for every block instance."""
+    """(pattern, text, planted 1-based starts) for every block instance,
+    the quarter instances last."""
     out = []
     for seed, (pattern_sigma, text_sigma, as_bytes) in enumerate(BLOCK_ALPHABETS):
         rng = random.Random(seed)
@@ -237,7 +309,7 @@ def _block_cases():
     text = noise[:start] + "ab" * 40 + noise[start + 80:]
     ones = list(range(start + 1, start + 50))
     out += [("ab" * 16, text, ones), (b"ab" * 16, text.encode(), ones)]
-    return out
+    return out + _quarter_cases()
 
 
 @functools.cache
@@ -252,6 +324,20 @@ def test_engine_equals_oracle_across_blocks(engine):
         want = _oracle_positions(pattern, text)
         assert set(starts) <= set(want), (len(pattern), text[:1])
         assert search(pattern, text) == want, (len(pattern), text[:1])
+
+
+def test_quarter_cases_cover_the_seams():
+    assert gsm._quarter_count(BLOCK // 4) == 4 > gsm._quarter_count(BLOCK // 4 + 1)
+    lasts = set()
+    for pattern, text, starts in _quarter_cases():
+        assert len(set(pattern)) > 2
+        lasts.add((len(text) - len(pattern) + 1) % BLOCK)
+        if len(pattern) <= 512:
+            # a copy across or on every quarter edge of the two whole blocks
+            edges = [e for e in _quarter_edges(len(text), len(pattern)) if 0 < e < 2 * BLOCK]
+            assert len(edges) == 7
+            assert all(any(0 <= e + 1 - s < len(pattern) for s in starts) for e in edges)
+    assert {m % 4 for m in lasts} == {0, 1, 2, 3} and {1, 2, 3} <= lasts
 
 
 # -- the block scan at small scope ---------------------------------------------
@@ -338,6 +424,25 @@ def test_block_scan_equals_definition_at_small_scope(block, rebase, monkeypatch)
             chunks = (text[:cut], text[cut:])
             assert _scanned(pattern, chunks) == (want, len(text)), (pattern, text, cut)
         assert _scanned(pattern, list(text)) == (want, len(text)), (pattern, text)
+
+
+@functools.cache
+def _quarter_scope_cases():
+    return _definition_cases("abc", 3, 0, 7, min_symbols=3)
+
+
+@pytest.mark.parametrize("block", (2, 3, 5))
+def test_quarters_equal_definition_at_small_scope(block, monkeypatch):
+    # four quarters of a block whatever p is: one window start each in a
+    # block of 2 or 3, so a block has fewer than four, and two in a block
+    # of 5, the last quarter one; a last block has fewer still. A quarter
+    # that read one symbol past its last window would find the next
+    # quarter's first window too.
+    monkeypatch.setattr(gsm, "BLOCK", block)
+    monkeypatch.setattr(gsm, "REBASE_COLUMN", 2)
+    monkeypatch.setattr(gsm, "_quarter_count", lambda p: 4)
+    for pattern, text, want in _quarter_scope_cases():
+        assert gsm_search(pattern, text).positions == want, (pattern, text)
 
 
 @functools.cache

@@ -467,18 +467,25 @@ def test_stream_across_blocks_any_cut(as_bytes):
 @pytest.mark.parametrize("p", [64, 512])
 def test_block_finds_exactly_the_windows_that_start_in_it(sigma, p):
     # a block reads p - 1 symbols past its end and no signal crosses an
-    # edge: block k alone gives the whole text's positions in it
+    # edge: block k alone gives the whole text's positions in it, and
+    # each of its quarters (one with 1-bit lanes) at most one piece
     rng = random.Random(p)
     pattern = "".join(rng.choice(sigma) for _ in range(p))
     text, starts = _planted_text(pattern, sigma, seed=p)
     want = _oracle_positions(pattern, text)
     assert {start + 1 for start in starts} <= set(want)
+    quarters = 1 if sigma == "ab" else 4
+    assert gsm._quarter_count(p) == 4
+    qs = BLOCK // quarters
     for k in range(4):
         out = []
         chunk = text[k * BLOCK:(k + 1) * BLOCK + p - 1]
         _scan_chunk(_mask_triples(pattern), k * BLOCK, p, chunk, out)
-        # one piece per block with a match
-        assert len(out) <= 1
+        # the quarter of each piece's first position, in order, and none twice
+        owners = [(piece[0] - 1 - k * BLOCK) // qs for piece in out]
+        assert owners == sorted(set(owners)) and set(owners) <= set(range(quarters))
+        for owner, piece in zip(owners, out):
+            assert k * BLOCK + owner * qs < piece[-1] <= k * BLOCK + (owner + 1) * qs
         assert list(chain.from_iterable(out)) == [
             x for x in want if k * BLOCK < x <= (k + 1) * BLOCK
         ], k
@@ -503,26 +510,42 @@ def _record_occurrences(monkeypatch) -> list:
     return made
 
 
+def _reads(occ) -> list:
+    """The symbols an ``_Occurrences`` builds its ints from, quarter by quarter."""
+    return [occ.block[s:s + occ.n] for s in occ.starts]
+
+
+def _quarters(text, p: int, quarters: int) -> list:
+    """A text of one block cut into its quarters: ceil(m / quarters) window
+    starts each, with the p - 1 symbols after the last."""
+    m = len(text) - p + 1
+    qs = -(-m // quarters)
+    return [text[s:min(s + qs, m) + p - 1] for s in range(0, m, qs)]
+
+
 def test_rebase_by_zero_keeps_occurrences_and_positions(monkeypatch):
-    # the periodic texts match up to their last windows, so at the re-base
-    # column a lane within p - 16 of the bottom is live and nothing is cut:
-    # the block keeps its one _Occurrences (each occurrence int is stored
-    # once) and no position moves
+    # the periodic texts match up to a last window of a quarter (ACGT: of
+    # quarter 0 of 4, 485 window starts each), so at the re-base column a
+    # lane within p - 16 of the bottom is live and nothing is cut: the
+    # block keeps its one _Occurrences (each occurrence int is stored
+    # once), which reads each quarter whole, and no position moves
     made = _record_occurrences(monkeypatch)
-    for pattern, text in (("ab" * 32, "ab" * 1000), ("ACGT" * 16, "ACGT" * 500)):
+    for pattern, text, quarters in (("ab" * 32, "ab" * 1000, 1), ("ACGT" * 16, "ACGT" * 500, 4)):
         made.clear()
         assert gsm_search(pattern, text).positions == oracle_search(pattern, text).positions
         assert len(made) == 1
         assert len(made[0].stored) == len(set(made[0].stored)), pattern
+        assert _reads(made[0]) == _quarters(text, len(pattern), quarters), pattern
 
 
 @pytest.mark.parametrize("as_bytes", [False, True])
 @pytest.mark.parametrize("sigma, text_sigma", [("ACGT", "ACGT"), ("ab", "abcd")])
 def test_rebase_cuts_the_block(sigma, text_sigma, as_bytes, monkeypatch):
-    # ACGT takes hex lanes, ab 1-bit lanes; the text is over four symbols,
-    # so no window but the planted copy at k lives to the re-base column.
-    # Block 0 is re-based there and cut to end with that copy: it adds one
-    # _Occurrences, over a proper prefix of the block; block 1 dies early.
+    # ACGT takes hex lanes in four quarters, ab 1-bit lanes in one; the
+    # text is over four symbols, so no window but the planted copy at k,
+    # in quarter 0, lives to the re-base column. Block 0 is re-based there
+    # and cut to end with that copy: it adds one _Occurrences, which reads
+    # the first k + p symbols of each quarter; block 1 dies early.
     p, k = 64, 200
     rng = random.Random(len(sigma))
     pattern = "".join(rng.choice(sigma) for _ in range(p))
@@ -532,8 +555,10 @@ def test_rebase_cuts_the_block(sigma, text_sigma, as_bytes, monkeypatch):
     made = _record_occurrences(monkeypatch)
     want = oracle_search(pattern, text).positions
     assert gsm_search(pattern, text).positions == want and k + 1 in want
-    block0, block1 = text[:BLOCK + p - 1], text[BLOCK:]
-    assert [occ.block for occ in made] == [block0, block0[:k + p], block1]
+    quarters = 1 if sigma == "ab" else 4
+    block0 = _quarters(text[:BLOCK + p - 1], p, quarters)
+    block1 = _quarters(text[BLOCK:], p, quarters)
+    assert [_reads(occ) for occ in made] == [block0, [q[:k + p] for q in block0], block1]
 
 
 # -- no swap row between equal symbols ------------------------------------------------

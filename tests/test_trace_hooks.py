@@ -61,8 +61,9 @@ def test_search_stream_records_scan_spans(tmp_path):
     scans = [s[5] for s in run["spans"] if s[0] == "gsm.scan"]
     assert scans == [{"p": 8, "symbols": 20_000}]
     values = run["values"]
-    # each scan's positions are checked as one report before they print
-    assert values["report.calls"] == 1
+    # the scan's one block has a piece of positions per quarter, and each
+    # piece is checked as one report before it prints
+    assert values["report.calls"] == 4
     assert values["report.positions"] == 20_000 // 4 - 1
     assert values["scan_symbols.p8"] == 20_000
     # search streams past the two read-all seams the recorder wraps, with
